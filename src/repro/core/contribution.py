@@ -1,5 +1,6 @@
 """Contribution of sets-of-rows (paper §3.3, Def. 3.3) — leave-one-out
-interventions computed from one pass of Spark aggregates per partition.
+interventions computed from a fixed number of Spark aggregates per
+partitioned input.
 
 Def. 3.3 asks for ``C(R, A, Q) = I_A(Q) − I_A(D_in − R, q, d'_out)`` for
 every set-of-rows R in a partition. Recomputing ``q`` per set would cost
@@ -17,6 +18,15 @@ every set-of-rows R in a partition. Recomputing ``q`` per set would cost
   the query had been re-run (Def. 3.3 semantics, asserted by tests against
   the naive recompute).
 
+Job budget per partitioned input, whatever the number of partitions and
+scored columns (SeeDB-style shared computation, Vartak et al. 2015):
+
+* exceptionality — per side (input, output), one aggregate for every set
+  share and every bin decision, and one aggregate over the side exploded
+  to one row per (partition, column) pair;
+* diversity — one ``groupBy(keys, partition, set)`` aggregate over the
+  input exploded to one row per partition.
+
 Driver-side work is O(|distinct values| × |sets|) numpy — never raw rows.
 """
 from __future__ import annotations
@@ -25,11 +35,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import reference
-from repro.core.interestingness import bin_pair, cv_diversity, is_numeric, ks_statistic
-from repro.core.model import IGNORE_PID, PID, GroupByStep, Step
+from repro.core.interestingness import (
+    bin_edges,
+    binned,
+    cv_diversity,
+    is_numeric,
+    ks_statistic,
+    range_exprs,
+)
+from repro.core.model import PID, GroupByStep, Step
 from repro.core.partition import Partition
 
 
@@ -50,17 +68,60 @@ class ContributionResult:
         return reference.standardize(self.contributions)
 
 
-def _pivot_counts(pdf: pd.DataFrame, attr: str, numeric: bool) -> pd.DataFrame:
-    """(value, __pid, count) rows → value-indexed pivot in CDF order."""
+def _melted_counts(
+    ann: DataFrame,
+    pairs: list[tuple[str, str]],
+    numeric: set[str],
+    edges: dict[str, tuple[float, float]],
+    max_distinct: int,
+) -> dict[int, pd.DataFrame]:
+    """Per-(value, set) row counts of every (pid column, column) pair in
+    ``pairs``, keyed by the pair's index — one Spark aggregate over ``ann``
+    exploded to one row per pair.
+
+    Numeric values go to ``__vn`` as doubles (bin ids for columns in
+    ``edges``), other values to ``__vs`` as strings; nulls and NaNs are
+    dropped, as from a value distribution.
+    """
+    elems = []
+    for j, (pc, c) in enumerate(pairs):
+        if c in numeric:
+            v = binned(c, edges[c], max_distinct) if c in edges else F.col(c)
+            vn = v.cast("double")
+            vs = F.lit(None).cast("string")
+        else:
+            vn, vs = F.lit(None).cast("double"), F.col(c).cast("string")
+        elems.append(
+            F.struct(
+                F.lit(j).alias("__j"),
+                vn.alias("__vn"),
+                vs.alias("__vs"),
+                F.col(pc).alias(PID),
+            )
+        )
+    counts = (
+        ann.select(F.inline(F.array(*elems)))
+        .where(
+            (F.col("__vn").isNotNull() & ~F.isnan("__vn")) | F.col("__vs").isNotNull()
+        )
+        .groupBy("__j", "__vn", "__vs", PID)
+        .agg(F.count(F.lit(1)).alias("__cnt"))
+        .toPandas()
+    )
+    return dict(tuple(counts.groupby("__j")))
+
+
+def _pivot_counts(pdf: pd.DataFrame, numeric: bool) -> pd.DataFrame:
+    """One pair's (value, __pid, count) rows → value-indexed pivot."""
     if pdf.empty:
         return pd.DataFrame()
-    piv = pdf.pivot_table(
-        index=attr, columns=PID, values="__cnt", aggfunc="sum", fill_value=0
+    return pdf.pivot_table(
+        index="__vn" if numeric else "__vs",
+        columns=PID,
+        values="__cnt",
+        aggfunc="sum",
+        fill_value=0,
     )
-    order = np.argsort(
-        piv.index.to_numpy(dtype=float if numeric else str, copy=False)
-    )
-    return piv.iloc[order]
 
 
 def exceptionality_contributions_multi(
@@ -70,112 +131,102 @@ def exceptionality_contributions_multi(
     max_distinct: int = 2000,
 ) -> list[ContributionResult]:
     """Leave-one-out KS contributions for many partitions of the *same*
-    input dataframe, sharing every Spark pass.
+    input dataframe, in a fixed number of Spark jobs.
 
     All partitions' pid expressions are attached to one annotated input,
-    the operation is applied **once**, both sides are persisted, and each
-    (partition, column) pair costs two in-memory frequency aggregates.
-    Per-set shares (caption stats) for every partition come from a single
-    conditional-count aggregate per side.
+    the operation is applied **once**, and both sides are persisted. Per
+    side, one aggregate computes every (partition, set) share (caption
+    stats) together with the bin decisions of the scored numeric columns
+    (:func:`~repro.core.interestingness.bin_edges`), and one melted
+    aggregate counts every (partition, column) pair's values per set.
     """
     if not groups:
         return []
     base = groups[0][0].base
-    pid_cols = {id(p): f"{PID}_{i}" for i, (p, _) in enumerate(groups)}
+    pid_cols = [f"{PID}_{k}" for k in range(len(groups))]
     ann_in = base.select(
-        "*", *[p.pid.alias(pid_cols[id(p)]) for p, _ in groups]
+        "*", *[p.pid.alias(pc) for (p, _), pc in zip(groups, pid_cols)]
     ).persist()
     ann_out = step.apply_annotated(ann_in).persist()
     results: list[ContributionResult] = []
     try:
-        # One conditional-count aggregate per side covers every
-        # (partition, set) share.
-        share_exprs = []
-        for p, _ in groups:
-            pc = pid_cols[id(p)]
-            for s in p.set_ids:
-                share_exprs.append(
-                    F.sum((F.col(pc) == s).cast("long")).alias(f"{pc}__{s}")
-                )
+        columns = sorted(
+            {
+                c
+                for _, cols in groups
+                for c in cols
+                if c in ann_in.columns and c in ann_out.columns
+            }
+        )
+        pairs = [
+            (k, c) for k, (_, cols) in enumerate(groups) for c in cols if c in columns
+        ]
+        if not pairs:
+            return results
+        numeric = [
+            c for c in columns if is_numeric(ann_in, c) and is_numeric(ann_out, c)
+        ]
+        share_exprs = [
+            F.sum((F.col(pc) == s).cast("long")).alias(f"{pc}__{s}")
+            for (p, _), pc in zip(groups, pid_cols)
+            for s in p.set_ids
+        ]
         share_exprs.append(F.count(F.lit(1)).alias("__total"))
-        sin = ann_in.agg(*share_exprs).collect()[0]
-        sout = ann_out.agg(*share_exprs).collect()[0]
+        sin = ann_in.agg(
+            *share_exprs,
+            *range_exprs(numeric),
+            *[F.approx_count_distinct(c).alias(f"__nd_{c}") for c in numeric],
+        ).collect()[0]
+        sout = ann_out.agg(*share_exprs, *range_exprs(numeric)).collect()[0]
+        edges = bin_edges(
+            {c: sin[f"__nd_{c}"] for c in numeric}, [sin, sout], max_distinct
+        )
 
-        # Bin decisions are per column, shared by all partitions.
-        binned: dict[str, tuple] = {}
-        all_cols = sorted({c for _, cols in groups for c in cols})
-        for c in all_cols:
-            if c in ann_in.columns and c in ann_out.columns:
-                binned[c] = bin_pair(ann_in, ann_out, c, max_distinct)
+        melt = [(pid_cols[k], c) for k, c in pairs]
+        counts_in, counts_out = (
+            _melted_counts(ann, melt, set(numeric), edges, max_distinct)
+            for ann in (ann_in, ann_out)
+        )
 
-        for p, columns in groups:
-            pc = pid_cols[id(p)]
-            tot_in, tot_out = sin["__total"], sout["__total"]
-            stats = {
+        tot_in, tot_out = sin["__total"], sout["__total"]
+        stats = [
+            {
                 i: {
                     "share_in": (sin[f"{pc}__{i}"] or 0) / tot_in if tot_in else 0.0,
                     "share_out": (sout[f"{pc}__{i}"] or 0) / tot_out if tot_out else 0.0,
                 }
                 for i in p.set_ids
             }
-            for c in columns:
-                if c not in binned:
-                    continue
-                bin_in, bin_out = binned[c]
-                numeric = is_numeric(ann_in, c)
-                cin = (
-                    bin_in.select(F.col(c), F.col(pc).alias(PID))
-                    .na.drop(subset=[c])
-                    .groupBy(c, PID)
-                    .agg(F.count(F.lit(1)).alias("__cnt"))
-                    .toPandas()
+            for (p, _), pc in zip(groups, pid_cols)
+        ]
+        for j, (k, c) in enumerate(pairs):
+            p = groups[k][0]
+            is_num = c in numeric
+            piv_in = _pivot_counts(counts_in.get(j, pd.DataFrame()), is_num)
+            piv_out = _pivot_counts(counts_out.get(j, pd.DataFrame()), is_num)
+            if piv_in.empty or piv_out.empty:
+                continue
+            # Align both pivots on the union of values, in CDF order.
+            values = piv_in.index.union(piv_out.index)
+            values = values[
+                np.argsort(values.to_numpy(dtype=float if is_num else str))
+            ]
+            piv_in = piv_in.reindex(values, fill_value=0)
+            piv_out = piv_out.reindex(values, fill_value=0)
+            full, loo = reference.leave_one_out_ks(piv_in, piv_out, p.set_ids)
+            results.append(
+                ContributionResult(
+                    column=c,
+                    partition=p,
+                    score_full=full,
+                    contributions={i: full - loo[i] for i in p.set_ids},
+                    stats=stats[k],
                 )
-                cout = (
-                    bin_out.select(F.col(c), F.col(pc).alias(PID))
-                    .na.drop(subset=[c])
-                    .groupBy(c, PID)
-                    .agg(F.count(F.lit(1)).alias("__cnt"))
-                    .toPandas()
-                )
-                piv_in = _pivot_counts(cin, c, numeric)
-                piv_out = _pivot_counts(cout, c, numeric)
-                if piv_in.empty or piv_out.empty:
-                    continue
-                # Align both pivots on the union of values, in CDF order.
-                values = piv_in.index.union(piv_out.index)
-                values = values[
-                    np.argsort(values.to_numpy(dtype=float if numeric else str))
-                ]
-                piv_in = piv_in.reindex(values, fill_value=0)
-                piv_out = piv_out.reindex(values, fill_value=0)
-                full, loo = reference.leave_one_out_ks(piv_in, piv_out, p.set_ids)
-                results.append(
-                    ContributionResult(
-                        column=c,
-                        partition=p,
-                        score_full=full,
-                        contributions={i: full - loo[i] for i in p.set_ids},
-                        stats=stats,
-                    )
-                )
+            )
     finally:
         ann_in.unpersist()
         ann_out.unpersist()
     return results
-
-
-def exceptionality_contributions(
-    step: Step,
-    partition: Partition,
-    columns: list[str],
-    *,
-    max_distinct: int = 2000,
-) -> list[ContributionResult]:
-    """Single-partition convenience wrapper around
-    :func:`exceptionality_contributions_multi`."""
-    return exceptionality_contributions_multi(
-        step, [(partition, columns)], max_distinct=max_distinct
-    )
 
 
 def _recombine(partials: pd.DataFrame, step: GroupByStep, keep: pd.Series) -> pd.DataFrame:
@@ -219,19 +270,49 @@ def _recombine(partials: pd.DataFrame, step: GroupByStep, keep: pd.Series) -> pd
     return out
 
 
-def diversity_contributions(
+def diversity_contributions_multi(
+    step: GroupByStep,
+    groups: list[tuple[Partition, list[str]]],
+) -> list[ContributionResult]:
+    """Leave-one-out CV contributions of many partitions of a group-by
+    step's input, from one Spark aggregate.
+
+    The input is exploded to one row per (partition ``__k``, set
+    ``__pid``), and a single ``groupBy(keys, __k, __pid)`` job computes
+    every partition's per-(group, set) partials; CVs are recomputed on the
+    (small) per-group values.
+    """
+    if not groups:
+        return []
+    base = groups[0][0].base
+    exploded = base.select(
+        "*",
+        F.inline(
+            F.array(
+                *[
+                    F.struct(F.lit(k).alias("__k"), p.pid.alias(PID))
+                    for k, (p, _) in enumerate(groups)
+                ]
+            )
+        ),
+    )
+    all_partials = step.partial_aggregates(exploded, by=("__k", PID)).toPandas()
+    by_k = dict(tuple(all_partials.groupby("__k")))
+    results: list[ContributionResult] = []
+    for k, (partition, columns) in enumerate(groups):
+        if k in by_k:
+            partials = by_k[k].drop(columns="__k").reset_index(drop=True)
+            results += _diversity_results(step, partition, columns, partials)
+    return results
+
+
+def _diversity_results(
     step: GroupByStep,
     partition: Partition,
     columns: list[str],
+    partials: pd.DataFrame,
 ) -> list[ContributionResult]:
-    """Leave-one-out CV contributions for a group-by step.
-
-    A single per-``(group, __pid)`` partial-aggregate job feeds every
-    intervention; CVs are recomputed on the (small) per-group values.
-    """
-    partials = step.partial_aggregates(partition.df).toPandas()
-    if partials.empty:
-        return []
+    """One partition's CV contributions from its per-(group, set) partials."""
     full_vals = _recombine(partials, step, partials[PID].notna())
     loo_vals = {
         i: _recombine(partials, step, partials[PID] != i)
@@ -280,17 +361,15 @@ def diversity_contributions(
 
 def compute_contributions(
     step: Step,
-    partition: Partition,
-    columns: list[str],
+    groups: list[tuple[Partition, list[str]]],
     *,
     max_distinct: int = 2000,
 ) -> list[ContributionResult]:
-    """Dispatch to the measure matching the step type (§3.2)."""
+    """Dispatch one input's partitions to the measure matching the step
+    type (§3.2)."""
     if isinstance(step, GroupByStep):
-        return diversity_contributions(step, partition, columns)
-    return exceptionality_contributions(
-        step, partition, columns, max_distinct=max_distinct
-    )
+        return diversity_contributions_multi(step, groups)
+    return exceptionality_contributions_multi(step, groups, max_distinct=max_distinct)
 
 
 def naive_contribution(

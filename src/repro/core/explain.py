@@ -146,8 +146,9 @@ class Fedex:
         affects phase 1 (§3.7)."""
         cfg = self.config
         attr_map = self._partition_attrs(step, top_cols)
-        partitions: list[tuple[Partition, Step, list[str]]] = []
-        seen: dict[tuple, int] = {}
+        # Which attributes to partition on each input, and which scored
+        # columns each (input, attribute) serves, in top_cols order.
+        inputs: dict[int, tuple[Step, dict[str, list[str]]]] = {}
         for col in top_cols:
             target_step = self._step_for_column(step, col)
             d_in = target_step.partitioned_input
@@ -155,34 +156,26 @@ class Fedex:
             if not isinstance(step, GroupByStep) and not cfg.cross_partitions:
                 attrs = attrs[:1]  # paired mode: partition on col itself
             for attr in attrs:
-                for p in partitions_for_attribute(d_in, attr, cfg.n_sets):
-                    k = (id(target_step.partitioned_input), *p.key())
-                    if k in seen:
-                        if col not in partitions[seen[k]][2]:
-                            partitions[seen[k]][2].append(col)
-                    else:
-                        seen[k] = len(partitions)
-                        partitions.append((p, target_step, [col]))
+                served = inputs.setdefault(id(d_in), (target_step, {}))[1]
+                served.setdefault(attr, []).append(col)
 
+        # One partition build and one contribution pass per input; both
+        # cost a fixed number of Spark jobs (see partition.py and
+        # contribution.py).
+        engine = (
+            compute_contributions
+            if isinstance(step, GroupByStep)
+            else exceptionality_contributions_multi
+        )
         out: list[tuple[Partition, object]] = []
-        if isinstance(step, GroupByStep):
-            for p, target_step, cols in partitions:
-                for res in compute_contributions(
-                    target_step, p, cols, max_distinct=cfg.max_distinct
-                ):
-                    out.append((p, res))
-            return out
-        # Exceptionality steps: batch all partitions sharing an input
-        # dataframe into one annotated pass (one step application, one
-        # persist, shared bin decisions) — see contribution.py.
-        by_base: dict[int, tuple[Step, list[tuple[Partition, list[str]]]]] = {}
-        for p, target_step, cols in partitions:
-            key = id(target_step.partitioned_input)
-            by_base.setdefault(key, (target_step, []))[1].append((p, cols))
-        for target_step, groups in by_base.values():
-            for res in exceptionality_contributions_multi(
-                target_step, groups, max_distinct=cfg.max_distinct
-            ):
+        for target_step, served in inputs.values():
+            groups = [
+                (p, served[p.attr])
+                for p in partitions_for_attribute(
+                    target_step.partitioned_input, list(served), cfg.n_sets
+                )
+            ]
+            for res in engine(target_step, groups, max_distinct=cfg.max_distinct):
                 out.append((res.partition, res))
         return out
 

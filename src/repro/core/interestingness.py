@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -46,49 +46,78 @@ def is_numeric(df: DataFrame, attr: str) -> bool:
     return isinstance(df.schema[attr].dataType, NUMERIC_TYPES)
 
 
-def bin_pair(
-    d_in: DataFrame, d_out: DataFrame, attr: str, max_distinct: int
-) -> tuple[DataFrame, DataFrame]:
-    """Replace a high-cardinality numeric column by equal-width bin ids,
-    using **shared** bin edges on both sides (bin ids must be comparable
-    for the KS CDF alignment).
+def range_exprs(cols: list[str]) -> list[Column]:
+    """min/max aggregate expressions per column, the ranges
+    :func:`bin_edges` reads (one row of them per side)."""
+    return [
+        e
+        for c in cols
+        for e in (F.min(c).alias(f"__lo_{c}"), F.max(c).alias(f"__hi_{c}"))
+    ]
+
+
+def bin_edges(
+    n_distinct: dict[str, int], ranges: list, max_distinct: int
+) -> dict[str, tuple[float, float]]:
+    """The one binning rule of both phases: which numeric columns are
+    equal-width binned, and over which range.
+
+    A column is binned when its (approximate) distinct count on the
+    *input* exceeds ``max_distinct``. Its edges span the min/max of every
+    side in ``ranges`` (rows of :func:`range_exprs`), since output values
+    of a join/union may exceed the partitioned input's range, so bin ids
+    are comparable across sides for the KS CDF alignment. A column whose
+    range is empty, degenerate or not finite is left unbinned.
 
     KS compares CDFs over the *value order*; equal-width binning compacts
     the value domain to ≤ ``max_distinct`` points while preserving CDF
-    gaps at bin resolution (documented substitution in DESIGN.md — the
-    original Pandas FEDEX bins for its plots as well). No-op for
-    categorical columns and for columns already under the limit.
+    gaps at bin resolution (documented substitution in DESIGN.md).
     """
+    edges: dict[str, tuple[float, float]] = {}
+    for c, nd in n_distinct.items():
+        if nd <= max_distinct:
+            continue
+        los = [r[f"__lo_{c}"] for r in ranges if r[f"__lo_{c}"] is not None]
+        his = [r[f"__hi_{c}"] for r in ranges if r[f"__hi_{c}"] is not None]
+        if not los or not his:
+            continue
+        lo, hi = float(min(los)), float(max(his))
+        if math.isfinite(hi - lo) and hi > lo:
+            edges[c] = (lo, hi)
+    return edges
+
+
+def binned(attr: str, edge: tuple[float, float], max_distinct: int) -> Column:
+    """Bin id of ``attr`` on the equal-width grid of :func:`bin_edges`;
+    nulls stay null."""
+    lo, hi = edge
+    width = (hi - lo) / max_distinct
+    b = F.least(
+        F.floor((F.col(attr).cast("double") - F.lit(lo)) / F.lit(width)),
+        F.lit(max_distinct - 1),
+    )
+    return F.when(F.col(attr).isNull(), None).otherwise(b)
+
+
+def bin_pair(
+    d_in: DataFrame, d_out: DataFrame, attr: str, max_distinct: int
+) -> tuple[DataFrame, DataFrame]:
+    """Replace a high-cardinality numeric column by its :func:`bin_edges`
+    bin ids on both sides. No-op for categorical columns and for columns
+    the rule leaves unbinned."""
     if not is_numeric(d_in, attr) or not is_numeric(d_out, attr):
         return d_in, d_out
-    n_distinct = (
-        d_in.agg(F.approx_count_distinct(attr).alias("n")).collect()[0]["n"]
-    )
-    if n_distinct <= max_distinct:
+    row_in = d_in.agg(
+        F.approx_count_distinct(attr).alias("n"), *range_exprs([attr])
+    ).collect()[0]
+    if row_in["n"] <= max_distinct:
         return d_in, d_out
-    # Shared edges span both sides (output values of a join/union may
-    # exceed the partitioned input's range).
-    lo_in, hi_in = d_in.agg(F.min(attr), F.max(attr)).collect()[0]
-    lo_out, hi_out = d_out.agg(F.min(attr), F.max(attr)).collect()[0]
-    pairs = [p for p in [(lo_in, hi_in), (lo_out, hi_out)] if p[0] is not None]
-    if not pairs:
+    row_out = d_out.agg(*range_exprs([attr])).collect()[0]
+    edges = bin_edges({attr: row_in["n"]}, [row_in, row_out], max_distinct)
+    if attr not in edges:
         return d_in, d_out
-    lo = float(min(p[0] for p in pairs))
-    hi = float(max(p[1] for p in pairs))
-    if not math.isfinite(hi - lo) or hi == lo:
-        return d_in, d_out
-    width = (hi - lo) / max_distinct
-
-    def binned(df: DataFrame) -> DataFrame:
-        b = F.least(
-            F.floor((F.col(attr).cast("double") - F.lit(lo)) / F.lit(width)),
-            F.lit(max_distinct - 1),
-        )
-        return df.withColumn(
-            attr, F.when(F.col(attr).isNull(), None).otherwise(b)
-        )
-
-    return binned(d_in), binned(d_out)
+    b = binned(attr, edges[attr], max_distinct)
+    return d_in.withColumn(attr, b), d_out.withColumn(attr, b)
 
 
 def value_counts(df: DataFrame, attr: str) -> DataFrame:
@@ -185,8 +214,8 @@ def ks_scores_bulk(
     aggregate, one min/max aggregate per side for shared bin edges, then
     one ``explode``→``groupBy(column, value).count()`` aggregate per side
     — ~6 jobs total for the full schema. High-cardinality numeric columns
-    are equal-width binned with shared edges (same substitution as
-    :func:`bin_pair`); the driver-side KS combine is O(distinct values).
+    are equal-width binned by :func:`bin_edges`, the rule phase 2 uses;
+    the driver-side KS combine is O(distinct values).
     """
     cols = [c for c in columns if c in d_in.columns and c in d_out.columns]
     if not cols:
@@ -200,34 +229,19 @@ def ks_scores_bulk(
         nd = d_in.agg(
             *[F.approx_count_distinct(c).alias(c) for c in num]
         ).collect()[0]
-        hi_card = [c for c in num if nd[c] > max_distinct]
+        hi_card = {c: nd[c] for c in num if nd[c] > max_distinct}
         if hi_card:
-            mins_in = d_in.agg(
-                *[F.min(c).alias(f"lo_{c}") for c in hi_card],
-                *[F.max(c).alias(f"hi_{c}") for c in hi_card],
-            ).collect()[0]
-            mins_out = d_out.agg(
-                *[F.min(c).alias(f"lo_{c}") for c in hi_card],
-                *[F.max(c).alias(f"hi_{c}") for c in hi_card],
-            ).collect()[0]
-            for c in hi_card:
-                los = [v for v in (mins_in[f"lo_{c}"], mins_out[f"lo_{c}"]) if v is not None]
-                his = [v for v in (mins_in[f"hi_{c}"], mins_out[f"hi_{c}"]) if v is not None]
-                if los and his and float(max(his)) > float(min(los)):
-                    edges[c] = (float(min(los)), float(max(his)))
+            ranges = [
+                df.agg(*range_exprs(list(hi_card))).collect()[0] for df in (d_in, d_out)
+            ]
+            edges = bin_edges(hi_card, ranges, max_distinct)
 
     def _melt_counts(df: DataFrame, cols_: list[str], numeric: bool):
         structs = []
         for c in cols_:
             if numeric:
-                v = F.col(c).cast("double")
-                if c in edges:
-                    lo, hi = edges[c]
-                    width = (hi - lo) / max_distinct
-                    v = F.least(
-                        F.floor((v - F.lit(lo)) / F.lit(width)),
-                        F.lit(max_distinct - 1),
-                    ).cast("double")
+                v = binned(c, edges[c], max_distinct) if c in edges else F.col(c)
+                v = v.cast("double")
             else:
                 v = F.col(c).cast("string")
             structs.append(F.struct(F.lit(c).alias("c"), v.alias("v")))

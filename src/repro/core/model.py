@@ -120,7 +120,10 @@ class FilterStep(Step):
         predicate column itself is never the explanation target."""
         import re
 
-        tokens = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", self.predicate))
+        # Words inside string literals ('...' or "...") are values, not
+        # column names.
+        code = re.sub(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"", " ", self.predicate)
+        tokens = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", code))
         return {c for c in self.d_in.columns if c in tokens}
 
     @property
@@ -148,6 +151,13 @@ class JoinStep(Step):
     partition_side: str = "left"
 
     op: str = field(default="join", init=False)
+
+    def __post_init__(self) -> None:
+        # Leave-one-out removes a set's output rows by pid, which equals
+        # re-running the join without the set only for inner joins; an
+        # outer join would null-pad the rows instead.
+        if self.how != "inner":
+            raise ValueError(f"only inner joins are supported, got how={self.how!r}")
 
     @property
     def inputs(self) -> dict[str, DataFrame]:
@@ -225,8 +235,10 @@ class GroupByStep(Step):
         return annotated.groupBy(*self.keys).agg(*[a.expr() for a in self.aggs])
 
     # ---- leave-one-out machinery -------------------------------------
-    def partial_aggregates(self, annotated: DataFrame) -> DataFrame:
-        """Per-``(keys, __pid)`` algebraic partials, one Spark aggregate.
+    def partial_aggregates(
+        self, annotated: DataFrame, by: tuple[str, ...] = (PID,)
+    ) -> DataFrame:
+        """Per-``(keys, *by)`` algebraic partials, one Spark aggregate.
 
         For every aggregation we emit the partials needed to recombine a
         leave-one-set-out aggregate on the driver: sum+count for mean,
@@ -248,4 +260,4 @@ class GroupByStep(Step):
                 exprs.append(F.min(a.column).alias(f"__min__{a.alias}"))
             elif a.fn == "max":
                 exprs.append(F.max(a.column).alias(f"__max__{a.alias}"))
-        return annotated.groupBy(*self.keys, PID).agg(*exprs)
+        return annotated.groupBy(*self.keys, *by).agg(*exprs)

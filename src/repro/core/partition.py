@@ -15,16 +15,31 @@ Three methods, as in the paper:
   a functional dependency A→B that is strictly coarser, then
   frequency-partition on B (Ex. 3.9: 'year' → 'decade').
 
-:func:`partitions_for_attribute` builds all of them for the requested set
-counts while sharing the underlying Spark statistics (one top-values
-collect, one quantile call, one FD scan) across sizes.
+All three read one :class:`PartitionStats`, which :func:`partition_stats`
+computes for *every* attribute partitioned on one input in a fixed budget
+of four Spark actions, whatever the number of attributes or set counts:
+
+1. one aggregate: ``countDistinct`` of every column, min/max of the
+   numeric attributes (nulls and NaNs left out, as from the quantiles);
+2. one multi-column ``approxQuantile`` for every numeric attribute and
+   set count;
+3. one functional-dependency scan over the input exploded to one row per
+   (attribute, value);
+4. one top-n over the exploded (attribute, value) counts, ranked by a
+   window ordered by (count desc, typed value asc), for the attributes and
+   their many-to-one targets.
+
+:func:`partitions_for_attribute` builds all partitions of the requested
+attributes and set counts from these statistics; it is called once per
+partitioned input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core.interestingness import is_numeric
 from repro.core.model import IGNORE_PID, PID
@@ -64,6 +79,19 @@ class Partition:
         return (self.attr, self.method, self.via, self.n_requested)
 
 
+@dataclass
+class PartitionStats:
+    """Everything the partition methods read about one input, for a fixed
+    set of attributes and set counts (see :func:`partition_stats`)."""
+
+    d_in: DataFrame
+    lo: dict[str, object]  # min per numeric attribute
+    hi: dict[str, object]  # max per numeric attribute
+    quantiles: dict[str, dict[int, list[float]]]  # attr -> n -> boundaries
+    fd: dict[str, list[str]]  # attr -> its coarsest many-to-one targets
+    top: dict[str, list]  # column -> its max(n_sets) most frequent values
+
+
 def _fmt(v) -> str:
     """Stable display form for a partition-set label."""
     if isinstance(v, float) and v == int(v):
@@ -71,25 +99,170 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _top_values(d_in: DataFrame, attr: str, n: int) -> list:
-    """The ``n`` most frequent non-null values of ``d_in[attr]`` (ties
-    broken by value, for determinism)."""
+def _present(df: DataFrame, c: str) -> Column:
+    """``df[c]`` is neither null nor NaN — the rows ``na.drop`` keeps."""
+    cond = F.col(c).isNotNull()
+    if isinstance(df.schema[c].dataType, (T.FloatType, T.DoubleType)):
+        cond = cond & ~F.isnan(c)
+    return cond
+
+
+def _melt_values(df: DataFrame, cols: list[str], *keep: str) -> DataFrame:
+    """One row per (column, present value) of ``cols``, plus ``keep``.
+
+    ``__k`` is the column's index in ``cols``; slot ``__v{i}`` holds column
+    i's value in its own Spark type and is null in every other column's
+    rows. Grouping by ``(__k, __v0, __v1, ...)`` therefore groups each
+    column's values exactly as ``groupBy(column)`` would, and ordering by
+    the slots orders them by typed value.
+    """
+    types = [df.schema[c].dataType for c in cols]
+    elems = [
+        F.when(
+            _present(df, c),
+            F.struct(
+                F.lit(i).alias("__k"),
+                *[
+                    (F.col(c) if j == i else F.lit(None).cast(t)).alias(f"__v{j}")
+                    for j, t in enumerate(types)
+                ],
+            ),
+        )
+        for i, c in enumerate(cols)
+    ]
+    return (
+        df.select(F.explode(F.array(*elems)).alias("__kv"), *keep)
+        .where(F.col("__kv").isNotNull())
+        .select("__kv.*", *keep)
+    )
+
+
+def _top_values(df: DataFrame, cols: list[str], n: int) -> dict[str, list]:
+    """The ``n`` most frequent present values of every column in ``cols``
+    (ties broken by value ascending, for determinism), in one Spark query."""
+    if not cols:
+        return {}
+    slots = [f"__v{i}" for i in range(len(cols))]
+    w = Window.partitionBy("__k").orderBy(
+        F.desc("__cnt"), *[F.asc(s) for s in slots]
+    )
     rows = (
-        d_in.select(attr)
-        .na.drop()
-        .groupBy(attr)
+        _melt_values(df, cols)
+        .groupBy("__k", *slots)
         .agg(F.count(F.lit(1)).alias("__cnt"))
-        .orderBy(F.desc("__cnt"), F.asc(attr))
-        .limit(n)
+        .withColumn("__rank", F.row_number().over(w))
+        .where(F.col("__rank") <= n)
         .collect()
     )
-    return [r[attr] for r in rows]
+    top: dict[str, list] = {c: [] for c in cols}
+    for r in sorted(rows, key=lambda r: (r["__k"], r["__rank"])):
+        top[cols[r["__k"]]].append(r[f"__v{r['__k']}"])
+    return top
 
 
-def _freq_partition_from_values(
-    d_in: DataFrame, attr: str, values: list, n: int
-) -> Partition | None:
-    values = values[:n]
+def _max_distinct_per_value(
+    df: DataFrame, attrs: list[str], cols: list[str]
+) -> dict[str, dict[str, int | None]]:
+    """For every attribute A: ``max over A-values of countDistinct(c)`` for
+    each column c — the FD consistency check, one exploded scan for all
+    attributes. Rows whose A is null or NaN are not part of A's groups."""
+    slots = [f"__v{i}" for i in range(len(attrs))]
+    rows = (
+        _melt_values(df, attrs, *cols)
+        .groupBy("__k", *slots)
+        .agg(*[F.countDistinct(c).alias(c) for c in cols])
+        .groupBy("__k")
+        .agg(*[F.max(c).alias(c) for c in cols])
+        .collect()
+    )
+    out: dict[str, dict[str, int | None]] = {a: {} for a in attrs}
+    for r in rows:
+        out[attrs[r["__k"]]] = {c: r[c] for c in cols}
+    return out
+
+
+def partition_stats(
+    d_in: DataFrame,
+    attrs: list[str],
+    n_sets: tuple[int, ...] = (5, 10),
+    *,
+    many_to_one_candidates: list[str] | None = None,
+    max_m2o_targets: int = 2,
+) -> PartitionStats:
+    """The statistics every partition of ``attrs`` over ``d_in`` needs, in
+    at most four Spark actions (see the module docstring).
+
+    Many-to-one targets of attribute A are the candidate columns B (all
+    other columns by default) with a strictly coarser functional
+    dependency A→B: every A-value maps to exactly one B-value
+    (``max over A-groups of countDistinct(B) == 1``) and some B-value
+    covers ≥2 A-values (``countDistinct(B) < countDistinct(A)``). Only the
+    coarsest (fewest-distinct) ``max_m2o_targets`` of them are kept,
+    bounding candidate blow-up on wide schemas.
+    """
+    attrs = list(dict.fromkeys(attrs))
+    if many_to_one_candidates is None:
+        many_to_one_candidates = d_in.columns
+    candidates = [c for c in many_to_one_candidates if c != PID]
+    numeric = [a for a in attrs if is_numeric(d_in, a)]
+    counted = list(dict.fromkeys(attrs + candidates))
+    # Nulls and NaNs are left out of each numeric attribute's range and
+    # quantiles, as ``na.drop`` on that attribute alone would.
+    present = {a: F.when(_present(d_in, a), F.col(a)) for a in numeric}
+    row = d_in.agg(
+        *[F.countDistinct(c).alias(f"__nd_{c}") for c in counted],
+        *[F.min(v).alias(f"__lo_{a}") for a, v in present.items()],
+        *[F.max(v).alias(f"__hi_{a}") for a, v in present.items()],
+    ).collect()[0]
+    distinct = {c: row[f"__nd_{c}"] for c in counted}
+
+    quantiles: dict[str, dict[int, list[float]]] = {}
+    if numeric:
+        probs, spans = [], {}
+        for n in sorted(set(n_sets)):
+            grid = [i / n for i in range(1, n)]
+            spans[n] = (len(probs), len(probs) + len(grid))
+            probs.extend(grid)
+        qss = d_in.select(*[v.alias(a) for a, v in present.items()]).approxQuantile(
+            numeric, probs, 1e-3
+        )
+        for a, qs in zip(numeric, qss):
+            if qs:
+                quantiles[a] = {n: qs[lo:hi] for n, (lo, hi) in spans.items()}
+
+    fd: dict[str, list[str]] = {}
+    if candidates:
+        per_value = _max_distinct_per_value(d_in, attrs, candidates)
+        for a in attrs:
+            targets = [
+                c
+                for c in candidates
+                if c != a
+                and per_value[a].get(c) == 1
+                and 0 < distinct[c] < distinct[a]
+            ]
+            fd[a] = sorted(targets, key=lambda c: distinct[c])[:max_m2o_targets]
+
+    top_cols = list(dict.fromkeys(attrs + [b for a in attrs for b in fd.get(a, [])]))
+    return PartitionStats(
+        d_in=d_in,
+        lo={a: row[f"__lo_{a}"] for a in numeric},
+        hi={a: row[f"__hi_{a}"] for a in numeric},
+        quantiles=quantiles,
+        fd=fd,
+        top=_top_values(d_in, top_cols, max(n_sets)),
+    )
+
+
+def frequency_partition(stats: PartitionStats, attr: str, n: int) -> Partition | None:
+    """Top-``n``-values partition of the input on ``attr`` (§3.5).
+
+    Set ``i`` holds the rows whose ``attr`` equals the i-th most frequent
+    value; remaining rows (and nulls) form the ignore-set. Returns ``None``
+    when the column has fewer than 2 distinct values (no meaningful
+    partition).
+    """
+    values = stats.top[attr][:n]
     if len(values) < 2:
         return None
     pid = F.lit(IGNORE_PID)
@@ -97,7 +270,7 @@ def _freq_partition_from_values(
     for i in reversed(range(len(values))):
         pid = F.when(F.col(attr) == F.lit(values[i]), F.lit(i)).otherwise(pid)
     return Partition(
-        base=d_in,
+        base=stats.d_in,
         pid=pid,
         attr=attr,
         method="frequency",
@@ -106,19 +279,18 @@ def _freq_partition_from_values(
     )
 
 
-def frequency_partition(d_in: DataFrame, attr: str, n: int) -> Partition | None:
-    """Top-``n``-values partition of ``d_in`` on ``attr`` (§3.5).
+def numeric_partition(stats: PartitionStats, attr: str, n: int) -> Partition | None:
+    """Equal-frequency interval partition of a numeric attribute (§3.5).
 
-    Set ``i`` holds the rows whose ``attr`` equals the i-th most frequent
-    value; remaining rows form the ignore-set. Returns ``None`` when the
-    column has fewer than 2 distinct values (no meaningful partition).
+    Interval boundaries are the ``1/n .. (n-1)/n`` quantiles
+    (``approxQuantile`` with tight error — deterministic for a given
+    dataframe). Every non-null row lands in a set (the paper's ignore-set
+    is empty here; we route nulls to it). Collapsing quantiles (heavy
+    ties) simply yield fewer, still-disjoint intervals; ``None`` when the
+    column is non-numeric or effectively constant.
     """
-    return _freq_partition_from_values(d_in, attr, _top_values(d_in, attr, n), n)
-
-
-def _numeric_partition_from_stats(
-    d_in: DataFrame, attr: str, qs: list[float], lo, hi, n: int
-) -> Partition | None:
+    qs = stats.quantiles.get(attr, {}).get(n)
+    lo, hi = stats.lo.get(attr), stats.hi.get(attr)
     if lo is None or lo == hi or not qs:
         return None
     bounds = sorted(set(qs))
@@ -133,7 +305,7 @@ def _numeric_partition_from_stats(
         for i in range(len(bounds) + 1)
     }
     return Partition(
-        base=d_in,
+        base=stats.d_in,
         pid=pid,
         attr=attr,
         method="numeric",
@@ -142,87 +314,18 @@ def _numeric_partition_from_stats(
     )
 
 
-def numeric_partition(d_in: DataFrame, attr: str, n: int) -> Partition | None:
-    """Equal-frequency interval partition of a numeric attribute (§3.5).
-
-    Interval boundaries are the ``1/n .. (n-1)/n`` quantiles
-    (``approxQuantile`` with tight error — deterministic for a given
-    dataframe). Every non-null row lands in a set (the paper's ignore-set
-    is empty here; we route nulls to it). Collapsing quantiles (heavy
-    ties) simply yield fewer, still-disjoint intervals; ``None`` when the
-    column is non-numeric or effectively constant.
-    """
-    if not is_numeric(d_in, attr):
-        return None
-    probs = [i / n for i in range(1, n)]
-    qs = d_in.na.drop(subset=[attr]).approxQuantile(attr, probs, 1e-3)
-    lo_hi = d_in.agg(F.min(attr).alias("lo"), F.max(attr).alias("hi")).collect()[0]
-    return _numeric_partition_from_stats(
-        d_in, attr, qs, lo_hi["lo"], lo_hi["hi"], n
-    )
+def find_many_to_one(stats: PartitionStats, attr: str) -> list[str]:
+    """Attributes B with a strictly-coarser functional dependency A→B,
+    coarsest first, at most ``max_m2o_targets`` (see :func:`partition_stats`)."""
+    return stats.fd.get(attr, [])
 
 
-def find_many_to_one(
-    d_in: DataFrame, attr: str, candidates: list[str] | None = None
-) -> list[str]:
-    """Attributes B with a strictly-coarser functional dependency A→B.
-
-    Condition 1 (consistency): every A-value maps to exactly one B-value —
-    ``max over A-groups of countDistinct(B) == 1``. Condition 2 (strictly
-    coarser): some B-value covers ≥2 distinct A-values —
-    ``countDistinct(B) < countDistinct(A)``. Both checks are two Spark
-    aggregates covering *all* candidate columns at once.
-    """
-    cols = [
-        c
-        for c in (candidates if candidates is not None else d_in.columns)
-        if c not in (attr, PID)
-    ]
-    if not cols:
-        return []
-    per_a = d_in.na.drop(subset=[attr]).groupBy(attr).agg(
-        *[F.countDistinct(c).alias(c) for c in cols]
-    )
-    max_per_a = per_a.agg(*[F.max(c).alias(c) for c in cols]).collect()[0]
-    n_distinct = (
-        d_in.agg(
-            F.countDistinct(attr).alias("__a"),
-            *[F.countDistinct(c).alias(c) for c in cols],
-        )
-        .collect()[0]
-        .asDict()
-    )
-    return [
-        c
-        for c in cols
-        if max_per_a[c] == 1 and 0 < n_distinct[c] < n_distinct["__a"]
-    ]
-
-
-def many_to_one_partitions(
-    d_in: DataFrame,
-    attr: str,
-    n: int,
-    candidates: list[str] | None = None,
-    max_targets: int = 2,
-) -> list[Partition]:
+def many_to_one_partitions(stats: PartitionStats, attr: str, n: int) -> list[Partition]:
     """Many-to-one partitions for ``attr`` (§3.5): frequency-partition on
-    each detected coarser attribute B, labeled by B's values.
-
-    ``max_targets`` caps how many B columns are used (the coarsest — i.e.
-    fewest-distinct — first), bounding candidate blow-up on wide schemas.
-    """
+    each FD target B of :func:`find_many_to_one`, labeled by B's values."""
     out: list[Partition] = []
-    targets = find_many_to_one(d_in, attr, candidates)
-    if not targets:
-        return out
-    counts = (
-        d_in.agg(*[F.countDistinct(c).alias(c) for c in targets])
-        .collect()[0]
-        .asDict()
-    )
-    for b in sorted(targets, key=lambda c: counts[c])[:max_targets]:
-        p = frequency_partition(d_in, b, n)
+    for b in find_many_to_one(stats, attr):
+        p = frequency_partition(stats, b, n)
         if p is not None:
             out.append(
                 Partition(
@@ -240,79 +343,42 @@ def many_to_one_partitions(
 
 def partitions_for_attribute(
     d_in: DataFrame,
-    attr: str,
+    attrs: list[str],
     n_sets: tuple[int, ...] = (5, 10),
     *,
     many_to_one_candidates: list[str] | None = None,
     max_m2o_targets: int = 2,
 ) -> list[Partition]:
-    """All partitions FEDEX builds for one attribute (§3.5, §3.7): for
-    each requested size n — frequency, numeric (if numeric), and
-    many-to-one partitions.
+    """All partitions FEDEX builds on one input (§3.5, §3.7): for each
+    attribute in ``attrs`` and each requested size n — frequency, numeric
+    (if numeric), and many-to-one partitions.
 
-    The Spark statistics are shared across sizes: one top-``max(n)``
-    frequency collect, one combined quantile call, one min/max aggregate,
-    and one functional-dependency scan feed every size's partition.
-    Partitions that different sizes realize identically (e.g. many-to-one
-    on a 4-value 'decade' at n=5 and n=10) are deduplicated.
+    One :func:`partition_stats` batch feeds every attribute and size.
+    Partitions that different sizes realize identically for one attribute
+    (e.g. many-to-one on a 4-value 'decade' at n=5 and n=10) are
+    deduplicated.
     """
+    stats = partition_stats(
+        d_in,
+        attrs,
+        n_sets,
+        many_to_one_candidates=many_to_one_candidates,
+        max_m2o_targets=max_m2o_targets,
+    )
     out: list[Partition] = []
-    seen: set[tuple] = set()
-
-    def _add(p: Partition | None) -> None:
-        if p is None:
-            return
-        sig = (p.method, p.via, tuple(sorted(p.labels.values())))
-        if sig in seen:
-            return
-        seen.add(sig)
-        out.append(p)
-
-    n_max = max(n_sets)
-    top = _top_values(d_in, attr, n_max)
-    numeric = is_numeric(d_in, attr)
-    quantiles: dict[int, list[float]] = {}
-    lo = hi = None
-    if numeric:
-        probs, spans = [], {}
-        for n in sorted(set(n_sets)):
-            grid = [i / n for i in range(1, n)]
-            spans[n] = (len(probs), len(probs) + len(grid))
-            probs.extend(grid)
-        qs = d_in.na.drop(subset=[attr]).approxQuantile(attr, probs, 1e-3)
-        if qs:
-            for n, (a, b) in spans.items():
-                quantiles[n] = qs[a:b]
-        lo_hi = d_in.agg(F.min(attr).alias("lo"), F.max(attr).alias("hi")).collect()[0]
-        lo, hi = lo_hi["lo"], lo_hi["hi"]
-
-    m2o_targets = find_many_to_one(d_in, attr, many_to_one_candidates)
-    m2o_tops: dict[str, list] = {}
-    if m2o_targets:
-        counts = (
-            d_in.agg(*[F.countDistinct(c).alias(c) for c in m2o_targets])
-            .collect()[0]
-            .asDict()
-        )
-        chosen = sorted(m2o_targets, key=lambda c: counts[c])[:max_m2o_targets]
-        m2o_tops = {b: _top_values(d_in, b, n_max) for b in chosen}
-
-    for n in n_sets:
-        _add(_freq_partition_from_values(d_in, attr, top, n))
-        if numeric and n in quantiles:
-            _add(_numeric_partition_from_stats(d_in, attr, quantiles[n], lo, hi, n))
-        for b, btop in m2o_tops.items():
-            p = _freq_partition_from_values(d_in, b, btop, n)
-            if p is not None:
-                _add(
-                    Partition(
-                        base=p.base,
-                        pid=p.pid,
-                        attr=attr,
-                        method="many_to_one",
-                        labels=p.labels,
-                        via=b,
-                        n_requested=n,
-                    )
-                )
+    for attr in dict.fromkeys(attrs):
+        seen: set[tuple] = set()
+        for n in n_sets:
+            built = [
+                frequency_partition(stats, attr, n),
+                numeric_partition(stats, attr, n),
+                *many_to_one_partitions(stats, attr, n),
+            ]
+            for p in built:
+                if p is None:
+                    continue
+                sig = (p.method, p.via, tuple(sorted(p.labels.values())))
+                if sig not in seen:
+                    seen.add(sig)
+                    out.append(p)
     return out

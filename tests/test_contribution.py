@@ -10,12 +10,25 @@ import pytest
 
 from repro.core.contribution import (
     compute_contributions,
-    diversity_contributions,
-    exceptionality_contributions,
+    diversity_contributions_multi,
+    exceptionality_contributions_multi,
     naive_contribution,
 )
 from repro.core.model import Aggregation, FilterStep, GroupByStep, JoinStep, UnionStep
-from repro.core.partition import frequency_partition, numeric_partition
+from repro.core.partition import (
+    frequency_partition,
+    numeric_partition,
+    partition_stats,
+    partitions_for_attribute,
+)
+
+
+def _freq(df, attr, n):
+    return frequency_partition(partition_stats(df, [attr], (n,)), attr, n)
+
+
+def _numeric(df, attr, n):
+    return numeric_partition(partition_stats(df, [attr], (n,)), attr, n)
 
 
 @pytest.fixture(scope="module")
@@ -44,35 +57,66 @@ def songs(spark, songs_pdf):
     return spark.createDataFrame(songs_pdf)
 
 
+@pytest.fixture(scope="module")
+def genre_songs(spark, songs_pdf):
+    """``songs`` plus a categorical 'genre' that leans to 'pop' in the 2010s."""
+    g = np.random.default_rng(11)
+    n = len(songs_pdf)
+    other = g.choice(["rock", "jazz", "folk"], n)
+    pop = (songs_pdf["decade"] == 2010) & (g.random(n) < 0.7)
+    return spark.createDataFrame(songs_pdf.assign(genre=np.where(pop, "pop", other)))
+
+
+def _assert_matches_naive(step, results):
+    for res in results:
+        for i in res.partition.set_ids:
+            assert res.contributions[i] == pytest.approx(
+                naive_contribution(step, res.partition, res.column, i), abs=1e-9
+            ), (res.partition.key(), res.column, i)
+
+
 class TestFilterContribution:
     def test_matches_naive_recompute(self, songs):
         step = FilterStep(songs, "popularity > 65")
-        p = frequency_partition(songs, "decade", 5)
-        results = exceptionality_contributions(step, p, ["decade"])
+        p = _freq(songs, "decade", 5)
+        results = exceptionality_contributions_multi(step, [(p, ["decade"])])
         assert len(results) == 1
         res = results[0]
         for i in p.set_ids:
             naive = naive_contribution(step, p, "decade", i)
             assert res.contributions[i] == pytest.approx(naive, abs=1e-9), i
 
+    def test_batched_partitions_match_naive(self, genre_songs):
+        # One engine call over every partition built on a categorical and
+        # a numeric column (below max_distinct, so unbinned), each scored
+        # on both columns, equals Def. 3.3 for every set.
+        step = FilterStep(genre_songs, "popularity > 65")
+        cols = ["genre", "year"]
+        parts = partitions_for_attribute(genre_songs, cols, (5,))
+        assert {p.method for p in parts} >= {"frequency", "numeric"}
+        assert {p.attr for p in parts} == set(cols)
+        results = exceptionality_contributions_multi(step, [(p, cols) for p in parts])
+        assert len(results) == len(parts) * len(cols)
+        _assert_matches_naive(step, results)
+
     def test_planted_set_contributes_most(self, songs):
         step = FilterStep(songs, "popularity > 65")
-        p = frequency_partition(songs, "decade", 5)
-        res = exceptionality_contributions(step, p, ["decade"])[0]
+        p = _freq(songs, "decade", 5)
+        res = exceptionality_contributions_multi(step, [(p, ["decade"])])[0]
         best = max(res.contributions, key=res.contributions.get)
         assert p.labels[best] == "2010"
 
     def test_contribution_positive_for_planted(self, songs):
         step = FilterStep(songs, "popularity > 65")
-        p = frequency_partition(songs, "decade", 5)
-        res = exceptionality_contributions(step, p, ["decade"])[0]
+        p = _freq(songs, "decade", 5)
+        res = exceptionality_contributions_multi(step, [(p, ["decade"])])[0]
         planted = next(i for i, l in p.labels.items() if l == "2010")
         assert res.contributions[planted] > 0
 
     def test_share_stats_for_captions(self, songs, songs_pdf):
         step = FilterStep(songs, "popularity > 65")
-        p = frequency_partition(songs, "decade", 5)
-        res = exceptionality_contributions(step, p, ["decade"])[0]
+        p = _freq(songs, "decade", 5)
+        res = exceptionality_contributions_multi(step, [(p, ["decade"])])[0]
         planted = next(i for i, l in p.labels.items() if l == "2010")
         share_in_expected = (songs_pdf["decade"] == 2010).mean()
         assert res.stats[planted]["share_in"] == pytest.approx(
@@ -82,8 +126,8 @@ class TestFilterContribution:
 
     def test_numeric_partition_matches_naive(self, songs):
         step = FilterStep(songs, "popularity > 65")
-        p = numeric_partition(songs, "year", 5)
-        res = exceptionality_contributions(step, p, ["year"])[0]
+        p = _numeric(songs, "year", 5)
+        res = exceptionality_contributions_multi(step, [(p, ["year"])])[0]
         for i in p.set_ids[:3]:
             assert res.contributions[i] == pytest.approx(
                 naive_contribution(step, p, "year", i), abs=1e-9
@@ -91,14 +135,14 @@ class TestFilterContribution:
 
     def test_multiple_columns_one_partition(self, songs):
         step = FilterStep(songs, "popularity > 65")
-        p = frequency_partition(songs, "decade", 5)
-        results = exceptionality_contributions(step, p, ["decade", "year"])
+        p = _freq(songs, "decade", 5)
+        results = exceptionality_contributions_multi(step, [(p, ["decade", "year"])])
         assert {r.column for r in results} == {"decade", "year"}
 
     def test_standardized_zscores(self, songs):
         step = FilterStep(songs, "popularity > 65")
-        p = frequency_partition(songs, "decade", 5)
-        res = exceptionality_contributions(step, p, ["decade"])[0]
+        p = _freq(songs, "decade", 5)
+        res = exceptionality_contributions_multi(step, [(p, ["decade"])])[0]
         std = res.standardized
         vals = np.array(list(res.contributions.values()))
         assert np.mean(list(std.values())) == pytest.approx(0.0, abs=1e-9)
@@ -113,8 +157,8 @@ class TestGroupByContribution:
         step = GroupByStep(
             songs, ["decade"], [Aggregation("mean", "loudness", "ml")]
         )
-        p = frequency_partition(songs, "decade", 5)
-        res = diversity_contributions(step, p, ["ml"])[0]
+        p = _freq(songs, "decade", 5)
+        res = diversity_contributions_multi(step, [(p, ["ml"])])[0]
         for i in p.set_ids:
             assert res.contributions[i] == pytest.approx(
                 naive_contribution(step, p, "ml", i), abs=1e-9
@@ -129,9 +173,9 @@ class TestGroupByContribution:
             Aggregation("max", "popularity", "a_max"),
         ]
         step = GroupByStep(songs, ["decade"], aggs)
-        p = frequency_partition(songs, "year", 10)
+        p = _freq(songs, "year", 10)
         results = {
-            r.column: r for r in diversity_contributions(step, p, [a.alias for a in aggs])
+            r.column: r for r in diversity_contributions_multi(step, [(p, [a.alias for a in aggs])])
         }
         for alias in ["a_mean", "a_sum", "a_cnt", "a_min", "a_max"]:
             for i in p.set_ids[:4]:
@@ -139,14 +183,33 @@ class TestGroupByContribution:
                     naive_contribution(step, p, alias, i), abs=1e-9
                 ), (alias, i)
 
+    def test_batched_keys_match_naive_all_agg_fns(self, genre_songs):
+        # One engine call over the partitions of both group keys, every
+        # aggregate function, equals Def. 3.3 for every set.
+        aggs = [
+            Aggregation("mean", "loudness", "a_mean"),
+            Aggregation("sum", "popularity", "a_sum"),
+            Aggregation("count", None, "a_cnt"),
+            Aggregation("min", "loudness", "a_min"),
+            Aggregation("max", "popularity", "a_max"),
+        ]
+        keys = ["decade", "genre"]
+        step = GroupByStep(genre_songs, keys, aggs)
+        parts = partitions_for_attribute(genre_songs, keys, (5,))
+        assert {p.attr for p in parts} == set(keys)
+        aliases = [a.alias for a in aggs]
+        results = compute_contributions(step, [(p, aliases) for p in parts])
+        assert len(results) == len(parts) * len(aliases)
+        _assert_matches_naive(step, results)
+
     def test_planted_quiet_decade_contributes(self, songs):
         # 1990s songs are planted ~4dB quieter: removing them shrinks the
         # diversity of mean loudness across decades.
         step = GroupByStep(
             songs, ["decade"], [Aggregation("mean", "loudness", "ml")]
         )
-        p = frequency_partition(songs, "decade", 5)
-        res = diversity_contributions(step, p, ["ml"])[0]
+        p = _freq(songs, "decade", 5)
+        res = diversity_contributions_multi(step, [(p, ["ml"])])[0]
         best = max(res.contributions, key=res.contributions.get)
         assert p.labels[best] == "1990"
         assert res.contributions[best] > 0
@@ -157,8 +220,8 @@ class TestGroupByContribution:
         pdf = pd.DataFrame({"g": ["x", "x", "y"], "v": [1.0, 2.0, 3.0]})
         d = spark.createDataFrame(pdf)
         step = GroupByStep(d, ["g"], [Aggregation("sum", "v", "sv")])
-        p = frequency_partition(d, "v", 3)  # each row its own set
-        res = diversity_contributions(step, p, ["sv"])[0]
+        p = _freq(d, "v", 3)  # each row its own set
+        res = diversity_contributions_multi(step, [(p, ["sv"])])[0]
         set_of_2 = next(i for i, l in p.labels.items() if l == "2")
         assert res.score_full == 0.0  # {(x,3),(y,3)} has zero diversity
         assert res.contributions[set_of_2] < 0  # removal increases CV
@@ -169,8 +232,8 @@ class TestGroupByContribution:
         pdf = pd.DataFrame({"g": ["x", "x", "y"], "v": [1.0, 1.0, 1.0], "id": [0, 1, 2]})
         d = spark.createDataFrame(pdf)
         step = GroupByStep(d, ["g"], [Aggregation("sum", "v", "sv")])
-        p = numeric_partition(d, "id", 3)
-        res = diversity_contributions(step, p, ["sv"])[0]
+        p = _numeric(d, "id", 3)
+        res = diversity_contributions_multi(step, [(p, ["sv"])])[0]
         assert res.score_full > 0
         # Removing the set holding row id=0 (an (x,1) row) zeroes CV.
         assert res.contributions[0] == pytest.approx(res.score_full)
@@ -179,16 +242,16 @@ class TestGroupByContribution:
         step = GroupByStep(
             songs, ["decade"], [Aggregation("mean", "loudness", "ml")]
         )
-        p = frequency_partition(songs, "decade", 5)
-        results = diversity_contributions(step, p, ["decade", "ml"])
+        p = _freq(songs, "decade", 5)
+        results = diversity_contributions_multi(step, [(p, ["decade", "ml"])])
         assert {r.column for r in results} == {"decade", "ml"}
 
     def test_caption_stats_set_means(self, songs, songs_pdf):
         step = GroupByStep(
             songs, ["decade"], [Aggregation("mean", "loudness", "ml")]
         )
-        p = frequency_partition(songs, "decade", 5)
-        res = diversity_contributions(step, p, ["ml"])[0]
+        p = _freq(songs, "decade", 5)
+        res = diversity_contributions_multi(step, [(p, ["ml"])])[0]
         planted = next(i for i, l in p.labels.items() if l == "1990")
         expected = songs_pdf[songs_pdf["decade"] == 1990]["loudness"].mean()
         assert res.stats[planted]["set_mean"] == pytest.approx(expected, abs=1e-6)
@@ -212,8 +275,8 @@ class TestJoinUnionContribution:
             pd.DataFrame({"k": np.arange(0, 10), "rv": np.arange(0, 10) * 1.0})
         )
         step = JoinStep(left, right, on=["k"])
-        p = frequency_partition(left, "lv", 3)
-        res = exceptionality_contributions(step, p, ["lv"])[0]
+        p = _freq(left, "lv", 3)
+        res = exceptionality_contributions_multi(step, [(p, ["lv"])])[0]
         for i in p.set_ids:
             assert res.contributions[i] == pytest.approx(
                 naive_contribution(step, p, "lv", i), abs=1e-9
@@ -228,8 +291,8 @@ class TestJoinUnionContribution:
             pd.DataFrame({"x": g.choice(["b", "c"], 100)})
         )
         step = UnionStep([d1, d2])
-        p = frequency_partition(d1, "x", 2)
-        res = exceptionality_contributions(step, p, ["x"])[0]
+        p = _freq(d1, "x", 2)
+        res = exceptionality_contributions_multi(step, [(p, ["x"])])[0]
         # naive_contribution uses the partitioned input's KS (d1 side),
         # matching how the incremental path scores this partition.
         for i in p.set_ids:
@@ -242,7 +305,7 @@ class TestJoinUnionContribution:
         gstep = GroupByStep(
             songs, ["decade"], [Aggregation("mean", "loudness", "ml")]
         )
-        p = frequency_partition(songs, "decade", 5)
-        f_res = compute_contributions(fstep, p, ["decade"])
-        g_res = compute_contributions(gstep, p, ["ml"])
+        p = _freq(songs, "decade", 5)
+        f_res = compute_contributions(fstep, [(p, ["decade"])])
+        g_res = compute_contributions(gstep, [(p, ["ml"])])
         assert f_res and g_res

@@ -5,6 +5,8 @@ filter is explained by 2010s songs via the 'decade' column, and the
 loudness-by-year group-by is explained by the quiet 1990s via the
 many-to-one 'year'→'decade' partition.
 """
+import uuid
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -185,6 +187,35 @@ class TestConfigKnobs:
         cands = {e.candidate_id for e in fx.candidates(step)}
         sky = {e.candidate_id for e in fx.explain(step)}
         assert sky <= cands and len(cands) >= len(sky)
+
+
+class TestPhase2JobBudget:
+    """Phase 2 runs a fixed number of Spark jobs per partitioned input:
+    the count does not grow with the scored columns or the set counts."""
+
+    @staticmethod
+    def _jobs(spark, fx, step, cols) -> int:
+        sc = spark.sparkContext
+        group = f"phase2-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, "phase-2 job count")
+        try:
+            fx.contribution_results(step, cols)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    def test_constant_in_columns_and_set_counts(self, spark, spotify_df):
+        step = FilterStep(spotify_df, "popularity > 65")
+        one = ["loudness"]
+        three = ["loudness", "danceability", "tempo"]
+        fx5 = Fedex(FedexConfig(n_sets=(5,)))
+        jobs_one = self._jobs(spark, fx5, step, one)
+        jobs_three = self._jobs(spark, fx5, step, three)
+        jobs_two_sizes = self._jobs(spark, Fedex(FedexConfig(n_sets=(5, 10))), step, three)
+        assert jobs_one > 0
+        assert jobs_three == jobs_one
+        assert jobs_two_sizes == jobs_three
 
 
 class TestJoinExplanation:

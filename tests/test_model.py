@@ -62,6 +62,15 @@ class TestFilterStep:
         step = FilterStep(df, "v > 0.5 AND cat = 'x'")
         assert step.predicate_columns == {"v", "cat"}
 
+    def test_predicate_columns_skip_string_literals(self, spark):
+        d = spark.createDataFrame(pd.DataFrame({"genre": ["year"], "year": [2000]}))
+        assert FilterStep(d, "genre = 'year'").predicate_columns == {"genre"}
+        assert FilterStep(d, 'genre = "year"').predicate_columns == {"genre"}
+        assert FilterStep(d, r"genre = 'it\'s year' OR year > 1").predicate_columns == {
+            "genre",
+            "year",
+        }
+
 
 class TestGroupByStep:
     def test_oracle_all_aggs(self, df, pdf):
@@ -113,6 +122,14 @@ class TestJoinStep:
             t=pdf,
             r=right_pdf,
         )
+
+    def test_rejects_non_inner_join(self, spark, df):
+        # Leave-one-out by pid is exact only for inner joins: an outer join
+        # null-pads the rows a removed set would take away.
+        right = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "w": [1.0, 2.0]}))
+        for how in ("left", "right", "outer", "left_anti"):
+            with pytest.raises(ValueError, match="inner"):
+                JoinStep(df, right, on=["k"], how=how, partition_side="right")
 
     def test_partition_side_right(self, spark, df):
         right = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "w": [1.0, 2.0]}))
