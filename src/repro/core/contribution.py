@@ -40,12 +40,10 @@ from pyspark.sql import functions as F
 
 from repro.core import reference
 from repro.core.interestingness import (
-    bin_edges,
-    binned,
-    cv_diversity,
+    aligned_pivots,
     is_numeric,
-    ks_statistic,
-    range_exprs,
+    melted_counts,
+    side_aggregates,
 )
 from repro.core.model import PID, GroupByStep, Step
 from repro.core.partition import Partition
@@ -68,62 +66,6 @@ class ContributionResult:
         return reference.standardize(self.contributions)
 
 
-def _melted_counts(
-    ann: DataFrame,
-    pairs: list[tuple[str, str]],
-    numeric: set[str],
-    edges: dict[str, tuple[float, float]],
-    max_distinct: int,
-) -> dict[int, pd.DataFrame]:
-    """Per-(value, set) row counts of every (pid column, column) pair in
-    ``pairs``, keyed by the pair's index — one Spark aggregate over ``ann``
-    exploded to one row per pair.
-
-    Numeric values go to ``__vn`` as doubles (bin ids for columns in
-    ``edges``), other values to ``__vs`` as strings; nulls and NaNs are
-    dropped, as from a value distribution.
-    """
-    elems = []
-    for j, (pc, c) in enumerate(pairs):
-        if c in numeric:
-            v = binned(c, edges[c], max_distinct) if c in edges else F.col(c)
-            vn = v.cast("double")
-            vs = F.lit(None).cast("string")
-        else:
-            vn, vs = F.lit(None).cast("double"), F.col(c).cast("string")
-        elems.append(
-            F.struct(
-                F.lit(j).alias("__j"),
-                vn.alias("__vn"),
-                vs.alias("__vs"),
-                F.col(pc).alias(PID),
-            )
-        )
-    counts = (
-        ann.select(F.inline(F.array(*elems)))
-        .where(
-            (F.col("__vn").isNotNull() & ~F.isnan("__vn")) | F.col("__vs").isNotNull()
-        )
-        .groupBy("__j", "__vn", "__vs", PID)
-        .agg(F.count(F.lit(1)).alias("__cnt"))
-        .toPandas()
-    )
-    return dict(tuple(counts.groupby("__j")))
-
-
-def _pivot_counts(pdf: pd.DataFrame, numeric: bool) -> pd.DataFrame:
-    """One pair's (value, __pid, count) rows → value-indexed pivot."""
-    if pdf.empty:
-        return pd.DataFrame()
-    return pdf.pivot_table(
-        index="__vn" if numeric else "__vs",
-        columns=PID,
-        values="__cnt",
-        aggfunc="sum",
-        fill_value=0,
-    )
-
-
 def exceptionality_contributions_multi(
     step: Step,
     groups: list[tuple[Partition, list[str]]],
@@ -137,8 +79,10 @@ def exceptionality_contributions_multi(
     the operation is applied **once**, and both sides are persisted. Per
     side, one aggregate computes every (partition, set) share (caption
     stats) together with the bin decisions of the scored numeric columns
-    (:func:`~repro.core.interestingness.bin_edges`), and one melted
-    aggregate counts every (partition, column) pair's values per set.
+    (:func:`~repro.core.interestingness.side_aggregates`), and one melted
+    aggregate counts every (partition, column) pair's values per set
+    (:func:`~repro.core.interestingness.melted_counts`, phase 1's KS
+    counting path).
     """
     if not groups:
         return []
@@ -171,20 +115,13 @@ def exceptionality_contributions_multi(
             for (p, _), pc in zip(groups, pid_cols)
             for s in p.set_ids
         ]
-        share_exprs.append(F.count(F.lit(1)).alias("__total"))
-        sin = ann_in.agg(
-            *share_exprs,
-            *range_exprs(numeric),
-            *[F.approx_count_distinct(c).alias(f"__nd_{c}") for c in numeric],
-        ).collect()[0]
-        sout = ann_out.agg(*share_exprs, *range_exprs(numeric)).collect()[0]
-        edges = bin_edges(
-            {c: sin[f"__nd_{c}"] for c in numeric}, [sin, sout], max_distinct
+        sin, sout, edges = side_aggregates(
+            ann_in, ann_out, numeric, max_distinct, share_exprs
         )
 
-        melt = [(pid_cols[k], c) for k, c in pairs]
+        melt = [(F.col(pid_cols[k]), c) for k, c in pairs]
         counts_in, counts_out = (
-            _melted_counts(ann, melt, set(numeric), edges, max_distinct)
+            melted_counts(ann, melt, set(numeric), edges, max_distinct)
             for ann in (ann_in, ann_out)
         )
 
@@ -201,19 +138,10 @@ def exceptionality_contributions_multi(
         ]
         for j, (k, c) in enumerate(pairs):
             p = groups[k][0]
-            is_num = c in numeric
-            piv_in = _pivot_counts(counts_in.get(j, pd.DataFrame()), is_num)
-            piv_out = _pivot_counts(counts_out.get(j, pd.DataFrame()), is_num)
-            if piv_in.empty or piv_out.empty:
+            piv = aligned_pivots(counts_in.get(j), counts_out.get(j), c in numeric)
+            if piv is None:
                 continue
-            # Align both pivots on the union of values, in CDF order.
-            values = piv_in.index.union(piv_out.index)
-            values = values[
-                np.argsort(values.to_numpy(dtype=float if is_num else str))
-            ]
-            piv_in = piv_in.reindex(values, fill_value=0)
-            piv_out = piv_out.reindex(values, fill_value=0)
-            full, loo = reference.leave_one_out_ks(piv_in, piv_out, p.set_ids)
+            full, loo = reference.leave_one_out_ks(*piv, p.set_ids)
             results.append(
                 ContributionResult(
                     column=c,
@@ -376,13 +304,21 @@ def naive_contribution(
     step: Step, partition: Partition, column: str, set_id: int
 ) -> float:
     """Literal Def. 3.3: drop set ``set_id`` from the input, re-run ``q``
-    in Spark, re-score. Used by tests as ground truth for the incremental
-    computation above (and by no production path — it is |sets|× slower).
+    in Spark, and re-score ``column`` on both outputs with
+    :func:`repro.core.reference.ks_2samp` / :func:`~repro.core.reference.cv`
+    over the collected values. Used by tests as ground truth for the
+    engines above, with which it shares no code (and by no production
+    path — it is |sets|× slower). It never bins, so it equals the engines
+    where no column exceeds ``max_distinct`` distinct values. Union steps
+    are scored against the partitioned input.
     """
     d_in_minus = partition.df.filter(F.col(PID) != F.lit(set_id)).drop(PID)
     d_out_minus = step.apply_annotated(d_in_minus)
+
+    def values(df: DataFrame) -> pd.Series:
+        return df.select(column).toPandas()[column]
+
     if isinstance(step, GroupByStep):
-        full = cv_diversity(step.output(), column)
-        return full - cv_diversity(d_out_minus, column)
-    full = ks_statistic(step.partitioned_input, step.output(), column)
-    return full - ks_statistic(d_in_minus, d_out_minus, column)
+        return reference.cv(values(step.output())) - reference.cv(values(d_out_minus))
+    full = reference.ks_2samp(values(step.partitioned_input), values(step.output()))
+    return full - reference.ks_2samp(values(d_in_minus), values(d_out_minus))

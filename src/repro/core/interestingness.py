@@ -1,12 +1,19 @@
-"""Interestingness measures (paper §3.2) as Spark DataFrame aggregations.
+"""Interestingness measures (paper §3.2) over Spark DataFrames.
 
-* :func:`ks_statistic` — exceptionality (Eq. 1): two-sample
-  Kolmogorov–Smirnov statistic between the value distributions of
-  ``d_in[A]`` and ``d_out[A]``, computed as one Catalyst plan
-  (per-value frequency aggregate → full outer join → windowed cumulative
-  sums → max absolute CDF gap). Used for filter, join, and union steps.
-* :func:`cv_diversity` — diversity (Eq. 2): coefficient of variation of an
-  aggregated output column. Used for group-by steps.
+* **Exceptionality** (Eq. 1), for filter, join and union steps: the
+  two-sample Kolmogorov–Smirnov statistic between the value distributions
+  of ``d_in[A]`` and ``d_out[A]``. Both phases count values through one
+  path: :func:`side_aggregates` (at most one aggregate per side: row
+  count, set shares, the bin decisions), :func:`melted_counts` (one count
+  aggregate per side over the side exploded to one row per (set id,
+  column) pair) and :func:`aligned_pivots` (both sides' counts in CDF
+  order). The KS itself is :func:`repro.core.reference.ks_from_counts` /
+  :func:`~repro.core.reference.leave_one_out_ks` on those counts.
+  :func:`ks_scores_bulk` is phase 1's caller, with one constant set id;
+  ``contribution.exceptionality_contributions_multi`` is phase 2's.
+* **Diversity** (Eq. 2), for group-by steps: the coefficient of variation
+  :func:`repro.core.reference.cv` of each aggregated output column,
+  scored on the collected (one row per group) output.
 * :func:`step_interestingness` — per-output-column scores ``I_A(Q)`` for a
   whole step, with the paper's §3.7 uniform-sampling optimization
   (interestingness on a ≤``sample_size``-row sample; contribution later
@@ -15,16 +22,20 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
-from pyspark.sql import Column, DataFrame, Window
+import numpy as np
+import pandas as pd
+from pyspark.sql import Column, DataFrame, Row
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.core import reference
 from repro.core.model import (
+    IGNORE_PID,
     PID,
     FilterStep,
     GroupByStep,
-    JoinStep,
     Step,
     UnionStep,
 )
@@ -46,50 +57,72 @@ def is_numeric(df: DataFrame, attr: str) -> bool:
     return isinstance(df.schema[attr].dataType, NUMERIC_TYPES)
 
 
-def range_exprs(cols: list[str]) -> list[Column]:
-    """min/max aggregate expressions per column, the ranges
-    :func:`bin_edges` reads (one row of them per side)."""
-    return [
-        e
-        for c in cols
-        for e in (F.min(c).alias(f"__lo_{c}"), F.max(c).alias(f"__hi_{c}"))
-    ]
+def side_aggregates(
+    d_in: DataFrame,
+    d_out: DataFrame,
+    numeric: list[str],
+    max_distinct: int,
+    extra: Sequence[Column] = (),
+) -> tuple[Row | None, Row | None, dict[str, tuple[float, float]]]:
+    """At most one aggregate per side of a KS comparison, and the one
+    binning rule of both phases.
 
+    The input's row holds its row count ``__total``, the ``extra``
+    expressions, and the min/max and approximate (HyperLogLog) distinct
+    count of every ``numeric`` column. A numeric column is equal-width
+    binned when that distinct count exceeds ``max_distinct``. The output's
+    row holds ``__total``, ``extra`` and the min/max of the binned columns
+    only; the bin edges span both sides, since output values of a
+    join/union may exceed the partitioned input's range, so bin ids are
+    comparable across sides for the KS CDF alignment. A column whose range
+    is empty, degenerate or not finite is left unbinned.
 
-def bin_edges(
-    n_distinct: dict[str, int], ranges: list, max_distinct: int
-) -> dict[str, tuple[float, float]]:
-    """The one binning rule of both phases: which numeric columns are
-    equal-width binned, and over which range.
-
-    A column is binned when its (approximate) distinct count on the
-    *input* exceeds ``max_distinct``. Its edges span the min/max of every
-    side in ``ranges`` (rows of :func:`range_exprs`), since output values
-    of a join/union may exceed the partitioned input's range, so bin ids
-    are comparable across sides for the KS CDF alignment. A column whose
-    range is empty, degenerate or not finite is left unbinned.
+    A side's aggregate runs only when its row is read: the input's when
+    there is a numeric column or an ``extra`` expression, the output's
+    when a column is binned or there is an ``extra`` expression. A row
+    not computed is ``None``.
 
     KS compares CDFs over the *value order*; equal-width binning compacts
     the value domain to ≤ ``max_distinct`` points while preserving CDF
     gaps at bin resolution (documented substitution in DESIGN.md).
+
+    Returns ``(row_in, row_out, edges)``, ``edges`` mapping each binned
+    column to its ``(lo, hi)``.
     """
+
+    def ranges(cols: list[str]) -> list[Column]:
+        return [
+            e
+            for c in cols
+            for e in (F.min(c).alias(f"__lo_{c}"), F.max(c).alias(f"__hi_{c}"))
+        ]
+
+    total = F.count(F.lit(1)).alias("__total")
+    n_distinct = [F.approx_count_distinct(c).alias(f"__nd_{c}") for c in numeric]
+    row_in = (
+        d_in.agg(*extra, total, *ranges(numeric), *n_distinct).collect()[0]
+        if extra or numeric
+        else None
+    )
+    wide = [c for c in numeric if row_in[f"__nd_{c}"] > max_distinct]
+    row_out = (
+        d_out.agg(*extra, total, *ranges(wide)).collect()[0] if extra or wide else None
+    )
     edges: dict[str, tuple[float, float]] = {}
-    for c, nd in n_distinct.items():
-        if nd <= max_distinct:
-            continue
-        los = [r[f"__lo_{c}"] for r in ranges if r[f"__lo_{c}"] is not None]
-        his = [r[f"__hi_{c}"] for r in ranges if r[f"__hi_{c}"] is not None]
+    for c in wide:
+        los = [r[f"__lo_{c}"] for r in (row_in, row_out) if r[f"__lo_{c}"] is not None]
+        his = [r[f"__hi_{c}"] for r in (row_in, row_out) if r[f"__hi_{c}"] is not None]
         if not los or not his:
             continue
         lo, hi = float(min(los)), float(max(his))
         if math.isfinite(hi - lo) and hi > lo:
             edges[c] = (lo, hi)
-    return edges
+    return row_in, row_out, edges
 
 
 def binned(attr: str, edge: tuple[float, float], max_distinct: int) -> Column:
-    """Bin id of ``attr`` on the equal-width grid of :func:`bin_edges`;
-    nulls stay null."""
+    """Bin id of ``attr`` on the equal-width grid of
+    :func:`side_aggregates`; nulls stay null."""
     lo, hi = edge
     width = (hi - lo) / max_distinct
     b = F.least(
@@ -99,104 +132,66 @@ def binned(attr: str, edge: tuple[float, float], max_distinct: int) -> Column:
     return F.when(F.col(attr).isNull(), None).otherwise(b)
 
 
-def bin_pair(
-    d_in: DataFrame, d_out: DataFrame, attr: str, max_distinct: int
-) -> tuple[DataFrame, DataFrame]:
-    """Replace a high-cardinality numeric column by its :func:`bin_edges`
-    bin ids on both sides. No-op for categorical columns and for columns
-    the rule leaves unbinned."""
-    if not is_numeric(d_in, attr) or not is_numeric(d_out, attr):
-        return d_in, d_out
-    row_in = d_in.agg(
-        F.approx_count_distinct(attr).alias("n"), *range_exprs([attr])
-    ).collect()[0]
-    if row_in["n"] <= max_distinct:
-        return d_in, d_out
-    row_out = d_out.agg(*range_exprs([attr])).collect()[0]
-    edges = bin_edges({attr: row_in["n"]}, [row_in, row_out], max_distinct)
-    if attr not in edges:
-        return d_in, d_out
-    b = binned(attr, edges[attr], max_distinct)
-    return d_in.withColumn(attr, b), d_out.withColumn(attr, b)
+def melted_counts(
+    df: DataFrame,
+    pairs: list[tuple[Column, str]],
+    numeric: set[str],
+    edges: dict[str, tuple[float, float]],
+    max_distinct: int,
+) -> dict[int, pd.DataFrame]:
+    """Per-(value, set) row counts of every (set-id expression, column)
+    pair in ``pairs``, keyed by the pair's index — one Spark aggregate
+    over ``df`` exploded to one row per pair.
 
-
-def value_counts(df: DataFrame, attr: str) -> DataFrame:
-    """``groupBy(attr).count()`` with nulls dropped — the relative-frequency
-    distribution Pr(d[A]) of Eq. 1 in aggregate form."""
-    return df.select(attr).na.drop().groupBy(attr).agg(
-        F.count(F.lit(1)).alias("__cnt")
-    )
-
-
-def ks_statistic(
-    d_in: DataFrame, d_out: DataFrame, attr: str, *, max_distinct: int = 2000
-) -> float:
-    """Two-sample KS between ``d_in[attr]`` and ``d_out[attr]`` (Eq. 1).
-
-    Entirely a DataFrame computation: two frequency aggregates, one full
-    outer join on the value, window cumulative sums in value order, and a
-    single max — only the scalar crosses to the driver. Returns 0.0 when
-    either side is empty.
+    Numeric values go to ``__vn`` as doubles (bin ids for columns in
+    ``edges``), other values to ``__vs`` as strings; nulls and NaNs are
+    dropped, as from a value distribution. A pair whose column has no
+    value on ``df`` has no entry.
     """
-    if attr not in d_out.columns or attr not in d_in.columns:
-        return 0.0
-    d_in, d_out = bin_pair(d_in, d_out, attr, max_distinct)
-    cin = value_counts(d_in, attr).withColumnRenamed("__cnt", "__cin")
-    cout = value_counts(d_out, attr).withColumnRenamed("__cnt", "__cout")
-    joined = cin.join(cout, on=attr, how="full_outer").select(
-        F.col(attr).alias("__v"),
-        F.coalesce("__cin", F.lit(0)).alias("__cin"),
-        F.coalesce("__cout", F.lit(0)).alias("__cout"),
-    )
-    w_cum = Window.orderBy("__v").rowsBetween(Window.unboundedPreceding, 0)
-    w_all = Window.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
-    row = (
-        joined.select(
-            (F.sum("__cin").over(w_cum)).alias("__cum_in"),
-            (F.sum("__cout").over(w_cum)).alias("__cum_out"),
-            F.sum("__cin").over(w_all).alias("__tot_in"),
-            F.sum("__cout").over(w_all).alias("__tot_out"),
+    elems = []
+    for j, (pid, c) in enumerate(pairs):
+        if c in numeric:
+            v = binned(c, edges[c], max_distinct) if c in edges else F.col(c)
+            vn = v.cast("double")
+            vs = F.lit(None).cast("string")
+        else:
+            vn, vs = F.lit(None).cast("double"), F.col(c).cast("string")
+        elems.append(
+            F.struct(
+                F.lit(j).alias("__j"),
+                vn.alias("__vn"),
+                vs.alias("__vs"),
+                pid.alias(PID),
+            )
         )
-        .select(
-            # try_divide: an empty side yields NULL (handled below), not a
-            # Spark-4 ANSI division-by-zero error.
-            F.max(
-                F.abs(
-                    F.try_divide("__cum_in", "__tot_in")
-                    - F.try_divide("__cum_out", "__tot_out")
-                )
-            ).alias("ks"),
-            F.min("__tot_in").alias("tin"),
-            F.min("__tot_out").alias("tout"),
+    counts = (
+        df.select(F.inline(F.array(*elems)))
+        .where(
+            (F.col("__vn").isNotNull() & ~F.isnan("__vn")) | F.col("__vs").isNotNull()
         )
-        .collect()
+        .groupBy("__j", "__vn", "__vs", PID)
+        .agg(F.count(F.lit(1)).alias("__cnt"))
+        .toPandas()
     )
-    if (
-        not row
-        or row[0]["ks"] is None
-        or row[0]["tin"] in (0, None)
-        or row[0]["tout"] in (0, None)
-    ):
-        return 0.0
-    return float(row[0]["ks"])
+    return dict(tuple(counts.groupby("__j")))
 
 
-def cv_diversity(d_out: DataFrame, attr: str) -> float:
-    """Coefficient of variation of ``d_out[attr]`` (Eq. 2), one aggregate.
-
-    Sample standard deviation over |mean| (see ``reference.cv`` for the
-    sign convention); 0.0 for <2 values or a ~zero mean.
-    """
-    row = d_out.agg(
-        F.stddev_samp(attr).alias("s"),
-        F.avg(attr).alias("m"),
-        F.count(attr).alias("n"),
-    ).collect()[0]
-    if row["n"] is None or row["n"] < 2 or row["s"] is None:
-        return 0.0
-    if row["m"] is None or abs(row["m"]) < 1e-12:
-        return 0.0
-    return float(row["s"] / abs(row["m"]))
+def aligned_pivots(
+    counts_in: pd.DataFrame | None, counts_out: pd.DataFrame | None, numeric: bool
+) -> tuple[pd.DataFrame, pd.DataFrame] | None:
+    """One pair's :func:`melted_counts` of both sides as value × set count
+    tables, aligned on the union of values in CDF order (ascending
+    numeric, else lexicographic). ``None`` when a side has no value."""
+    if counts_in is None or counts_out is None:
+        return None
+    value = "__vn" if numeric else "__vs"
+    piv_in, piv_out = (
+        pdf.set_index([value, PID])["__cnt"].unstack(fill_value=0)
+        for pdf in (counts_in, counts_out)
+    )
+    values = piv_in.index.union(piv_out.index)
+    values = values[np.argsort(values.to_numpy(dtype=float if numeric else str))]
+    return piv_in.reindex(values, fill_value=0), piv_out.reindex(values, fill_value=0)
 
 
 def ks_scores_bulk(
@@ -206,78 +201,33 @@ def ks_scores_bulk(
     *,
     max_distinct: int = 2000,
 ) -> dict[str, float]:
-    """KS of *every* column in one constant number of Spark jobs.
-
-    Per-column :func:`ks_statistic` costs ~4 jobs each; at 20+ columns the
-    scheduling overhead dominates (the paper's Fig. 9 sweeps column
-    count). This melt-based variant does: one ``approx_count_distinct``
-    aggregate, one min/max aggregate per side for shared bin edges, then
-    one ``explode``→``groupBy(column, value).count()`` aggregate per side
-    — ~6 jobs total for the full schema. High-cardinality numeric columns
-    are equal-width binned by :func:`bin_edges`, the rule phase 2 uses;
-    the driver-side KS combine is O(distinct values).
+    """KS of every column of ``columns`` present on both sides, in a
+    constant number of Spark jobs: the :func:`side_aggregates` aggregate
+    of the input (none when every column is categorical; one more on the
+    output when a column is binned) and one :func:`melted_counts`
+    aggregate per side, numeric and categorical columns together.
+    High-cardinality numeric columns are binned by the rule phase 2 uses;
+    the driver-side KS combine is O(distinct values). A column with no
+    value on a side scores 0.0.
     """
     cols = [c for c in columns if c in d_in.columns and c in d_out.columns]
     if not cols:
         return {}
-    num = [c for c in cols if is_numeric(d_in, c) and is_numeric(d_out, c)]
-    cat = [c for c in cols if c not in num]
-    scores: dict[str, float] = {c: 0.0 for c in cols}
-
-    edges: dict[str, tuple[float, float]] = {}
-    if num:
-        nd = d_in.agg(
-            *[F.approx_count_distinct(c).alias(c) for c in num]
-        ).collect()[0]
-        hi_card = {c: nd[c] for c in num if nd[c] > max_distinct}
-        if hi_card:
-            ranges = [
-                df.agg(*range_exprs(list(hi_card))).collect()[0] for df in (d_in, d_out)
-            ]
-            edges = bin_edges(hi_card, ranges, max_distinct)
-
-    def _melt_counts(df: DataFrame, cols_: list[str], numeric: bool):
-        structs = []
-        for c in cols_:
-            if numeric:
-                v = binned(c, edges[c], max_distinct) if c in edges else F.col(c)
-                v = v.cast("double")
-            else:
-                v = F.col(c).cast("string")
-            structs.append(F.struct(F.lit(c).alias("c"), v.alias("v")))
-        melted = df.select(F.explode(F.array(*structs)).alias("kv")).select(
-            "kv.c", "kv.v"
+    numeric = [c for c in cols if is_numeric(d_in, c) and is_numeric(d_out, c)]
+    _, _, edges = side_aggregates(d_in, d_out, numeric, max_distinct)
+    pairs = [(F.lit(IGNORE_PID), c) for c in cols]
+    counts_in, counts_out = (
+        melted_counts(df, pairs, set(numeric), edges, max_distinct)
+        for df in (d_in, d_out)
+    )
+    scores: dict[str, float] = {}
+    for j, c in enumerate(cols):
+        piv = aligned_pivots(counts_in.get(j), counts_out.get(j), c in numeric)
+        scores[c] = (
+            0.0
+            if piv is None
+            else reference.ks_from_counts(*(p.to_numpy(float).sum(axis=1) for p in piv))
         )
-        return (
-            melted.na.drop(subset=["v"])
-            .groupBy("c", "v")
-            .agg(F.count(F.lit(1)).alias("n"))
-            .toPandas()
-        )
-
-    import pandas as pd  # local import keeps module deps explicit
-
-    from repro.core import reference
-
-    for group, numeric in ((num, True), (cat, False)):
-        if not group:
-            continue
-        cin = _melt_counts(d_in, group, numeric)
-        cout = _melt_counts(d_out, group, numeric)
-        for c in group:
-            a = cin[cin["c"] == c].set_index("v")["n"]
-            b = cout[cout["c"] == c].set_index("v")["n"]
-            if a.empty or b.empty:
-                scores[c] = 0.0
-                continue
-            idx = a.index.union(b.index)
-            idx = idx[
-                pd.Index(idx).to_numpy(dtype=float if numeric else str).argsort()
-            ]
-            scores[c] = reference.ks_from_counts(
-                a.reindex(idx, fill_value=0).to_numpy(float),
-                b.reindex(idx, fill_value=0).to_numpy(float),
-            )
     return scores
 
 
@@ -325,20 +275,18 @@ def step_interestingness(
     Filter/join: KS of each column between the *relevant* input and the
     output (for a join, the input side that carries the column — §3.2).
     Union: max KS over the inputs containing the column. Group-by: CV of
-    each numeric output column.
+    each numeric output column, on the output's scored columns collected
+    to the driver — a sample of ~``sample_size`` rows, or with sampling
+    off (``None``, exact FEDEX) the whole output, one row per group.
     """
     cols = columns if columns is not None else scoreable_columns(step)
-    scores: dict[str, float] = {}
     if isinstance(step, GroupByStep):
-        d_out = _sample_cap(step.output(), sample_size, seed)
-        d_out = d_out.persist()
-        try:
-            for c in cols:
-                scores[c] = cv_diversity(d_out, c)
-        finally:
-            d_out.unpersist()
-        return scores
+        # One row per group: collected once, as phase 2 collects its
+        # per-(group, set) partials.
+        out = _sample_cap(step.output(), sample_size, seed).select(*cols).toPandas()
+        return {c: reference.cv(out[c]) for c in cols}
 
+    scores: dict[str, float] = {}
     d_out = _sample_cap(step.output(), sample_size, seed).persist()
     sampled_inputs = {
         name: _sample_cap(df, sample_size, seed + 1 + i).persist()

@@ -35,6 +35,7 @@ partitioned input.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from pyspark.sql import Column, DataFrame, Window
@@ -94,7 +95,7 @@ class PartitionStats:
 
 def _fmt(v) -> str:
     """Stable display form for a partition-set label."""
-    if isinstance(v, float) and v == int(v):
+    if isinstance(v, float) and math.isfinite(v) and v == int(v):
         return str(int(v))
     return str(v)
 

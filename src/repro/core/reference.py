@@ -45,23 +45,18 @@ def cv(values) -> float:
 
     The paper's loudness example (mean ≈ -10, CV reported positive 0.13)
     implies |mean| in the denominator. Degenerate cases — fewer than two
-    values, or mean ≈ 0 — score 0.0: a single group or a zero-mean column
-    offers no meaningful diversity signal to explain.
+    values, mean ≈ 0, or a mean or standard deviation that is not finite
+    (an infinite value) — score 0.0: a single group, a zero-mean column
+    or an unbounded one offers no meaningful diversity signal to explain.
     """
     v = pd.Series(values).dropna().to_numpy(dtype=float)
     if v.size < 2:
         return 0.0
-    mean = v.mean()
-    if abs(mean) < 1e-12:
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean, std = v.mean(), v.std(ddof=1)
+    if not (np.isfinite(mean) and np.isfinite(std)) or abs(mean) < 1e-12:
         return 0.0
-    return float(v.std(ddof=1) / abs(mean))
-
-
-def sort_values(values: np.ndarray, numeric: bool) -> np.ndarray:
-    """Canonical CDF value order: ascending numeric, else lexicographic."""
-    if numeric:
-        return np.sort(values.astype(float))
-    return np.sort(values.astype(str))
+    return float(std / abs(mean))
 
 
 def leave_one_out_ks(

@@ -11,9 +11,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.contribution import naive_contribution
 from repro.core.explain import Explanation, Fedex, FedexConfig
 from repro.core.model import Aggregation, FilterStep, GroupByStep, JoinStep
-from repro.workload.queries import BY_NUM, make_bundle
+from repro.datasets.bank import bank_pdf
+from repro.datasets.spotify import spotify_pdf
+from repro.workload.queries import BY_NUM, DatasetBundle, make_bundle
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +27,35 @@ def spotify_bundle(spark):
 @pytest.fixture(scope="module")
 def spotify_df(spotify_bundle):
     return spotify_bundle.spark_tables["spotify"]
+
+
+@pytest.fixture(scope="module")
+def small_bank(spark):
+    """A 300-row Bank draw: no column exceeds ``max_distinct``."""
+    pdf = bank_pdf(300, seed=5)
+    return DatasetBundle("bank", {"bank": spark.createDataFrame(pdf)}, {"bank": pdf})
+
+
+@pytest.fixture(scope="module")
+def small_spotify(spark):
+    """A 600-row Spotify draw: q21 groups it into 72 years."""
+    pdf = spotify_pdf(600, seed=5)
+    return DatasetBundle(
+        "spotify", {"spotify": spark.createDataFrame(pdf)}, {"spotify": pdf}
+    )
+
+
+def _spark_jobs(spark, fn) -> int:
+    """Spark jobs run by ``fn()``, counted by job group."""
+    sc = spark.sparkContext
+    group = f"jobs-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "job count")
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
 
 
 class TestFilterExplanation:
@@ -195,15 +227,7 @@ class TestPhase2JobBudget:
 
     @staticmethod
     def _jobs(spark, fx, step, cols) -> int:
-        sc = spark.sparkContext
-        group = f"phase2-{uuid.uuid4().hex}"
-        sc.setJobGroup(group, "phase-2 job count")
-        try:
-            fx.contribution_results(step, cols)
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        sc._jsc.sc().listenerBus().waitUntilEmpty()
-        return len(sc.statusTracker().getJobIdsForGroup(group))
+        return _spark_jobs(spark, lambda: fx.contribution_results(step, cols))
 
     def test_constant_in_columns_and_set_counts(self, spark, spotify_df):
         step = FilterStep(spotify_df, "popularity > 65")
@@ -216,6 +240,134 @@ class TestPhase2JobBudget:
         assert jobs_one > 0
         assert jobs_three == jobs_one
         assert jobs_two_sizes == jobs_three
+
+    def test_constant_whether_columns_are_binned(self, spark, spotify_df):
+        # The bin decisions ride on the share aggregates of both sides.
+        step = FilterStep(spotify_df, "popularity > 65")
+        cols = ["loudness", "danceability", "tempo"]
+
+        def jobs(max_distinct):
+            fx = Fedex(FedexConfig(n_sets=(5,), max_distinct=max_distinct))
+            return self._jobs(spark, fx, step, cols)
+
+        assert jobs(50) == jobs(10**9)
+
+
+class TestPhase1JobBudget:
+    """Phase 1 runs a fixed number of Spark jobs per step: one collect
+    scores every group-by aggregate, and one counting path scores numeric
+    and categorical KS columns together."""
+
+    @staticmethod
+    def _jobs(spark, fx, step) -> int:
+        return _spark_jobs(spark, lambda: fx.interesting_columns(step))
+
+    def test_constant_in_groupby_aggregates(self, spark, spotify_df):
+        def step(cols):
+            return GroupByStep(
+                spotify_df, ["genre"], [Aggregation("mean", c, c) for c in cols]
+            )
+
+        fx = Fedex()
+        jobs_one = self._jobs(spark, fx, step(["loudness"]))
+        jobs_three = self._jobs(spark, fx, step(["loudness", "danceability", "tempo"]))
+        assert jobs_one > 0
+        assert jobs_three == jobs_one
+
+    def test_constant_in_column_types(self, spark, spotify_df):
+        step = FilterStep(spotify_df, "popularity > 65")
+        numeric = Fedex(FedexConfig(columns=["loudness", "tempo"]))
+        mixed = Fedex(FedexConfig(columns=["loudness", "tempo", "genre", "main_artist"]))
+        jobs_numeric = self._jobs(spark, numeric, step)
+        assert jobs_numeric > 0
+        assert self._jobs(spark, mixed, step) == jobs_numeric
+
+    def test_output_aggregated_only_for_binned_ranges(self, spark, spotify_df):
+        # The input's aggregate takes every bin decision; the output is
+        # aggregated only for the ranges of binned columns, and columns
+        # that are all categorical need no aggregate besides the counts.
+        step = FilterStep(spotify_df, "popularity > 65")
+
+        def jobs(columns, max_distinct):
+            fx = Fedex(FedexConfig(columns=columns, max_distinct=max_distinct))
+            return self._jobs(spark, fx, step)
+
+        unbinned = jobs(["loudness", "tempo"], 10**9)
+        binned = jobs(["loudness", "tempo"], 50)
+        categorical = jobs(["genre", "main_artist"], 50)
+        # One aggregate's jobs more on the output when binning, as many
+        # fewer on the input when no column is numeric.
+        assert binned - unbinned == unbinned - categorical > 0
+
+
+class TestNonFiniteValues:
+    """An inf in the data gets explanations (or none), not an exception."""
+
+    @pytest.fixture(scope="class")
+    def df(self, spark):
+        g = np.random.default_rng(4)
+        v = g.normal(10, 2, 200)
+        v[17] = np.inf
+        pdf = pd.DataFrame(
+            {"a": g.integers(0, 4, 200), "b": g.choice(list("pqrs"), 200), "v": v}
+        )
+        return spark.createDataFrame(pdf)
+
+    def test_filter_over_inf_column(self, df):
+        # The numeric partition of v has an inf edge in its labels.
+        assert isinstance(Fedex().explain(FilterStep(df, "a > 1")), list)
+
+    def test_groupby_aggregate_with_inf(self, df):
+        # mean(v) is inf in one group: its CV must not be NaN, which the
+        # skyline sweep cannot order.
+        step = GroupByStep(df, ["b"], [Aggregation("mean", "v", "mv")])
+        assert isinstance(Fedex().explain(step), list)
+
+
+class TestWorkloadSteps:
+    """Workload queries q11 (filter), q28 and q21 (group-by) on small draws."""
+
+    @pytest.mark.parametrize("num", [11, 28])
+    def test_every_set_matches_naive(self, small_bank, num):
+        # Each set of each candidate partition equals a literal Def. 3.3
+        # re-run of the query scored by reference.py.
+        step = BY_NUM[num].build(small_bank)
+        fx = Fedex(FedexConfig(top_k_columns=1, n_sets=(5,)))
+        results = fx.contribution_results(
+            step, fx._top_columns(fx.interesting_columns(step))
+        )
+        assert results
+        for p, res in results:
+            for i in p.set_ids:
+                assert res.contributions[i] == pytest.approx(
+                    naive_contribution(step, p, res.column, i), abs=1e-9
+                ), (p.key(), res.column, i)
+
+    @pytest.mark.parametrize("num", [11, 28, 21])
+    def test_same_explanations_any_shuffle_partitions(
+        self, spark, small_bank, small_spotify, num
+    ):
+        # q21 is a group-by on Spotify with many groups: phase 1 scores
+        # its whole (unsampled) output, collected in shuffle order.
+        q = BY_NUM[num]
+        step = q.build(small_spotify if q.dataset == "spotify" else small_bank)
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        runs = []
+        try:
+            for n in ("4", "64"):
+                spark.conf.set(key, n)
+                runs.append(Fedex().explain(step))
+        finally:
+            spark.conf.set(key, before)
+        few, many = runs
+        assert few
+        assert [e.candidate_id for e in few] == [e.candidate_id for e in many]
+        assert [e.caption for e in few] == [e.caption for e in many]
+        for a, b in zip(few, many):
+            assert (a.interestingness, a.contribution, a.std_contribution) == pytest.approx(
+                (b.interestingness, b.contribution, b.std_contribution), abs=1e-9
+            )
 
 
 class TestJoinExplanation:

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core import reference
 from repro.core.interestingness import (
-    cv_diversity,
     is_numeric,
-    ks_statistic,
+    ks_scores_bulk,
     scoreable_columns,
     step_interestingness,
 )
@@ -19,6 +18,19 @@ from repro.oracle import assert_equivalent
 
 def _df(spark, pdf):
     return spark.createDataFrame(pdf)
+
+
+def _ks(din, dout, **kw):
+    """Phase 1's KS of column ``x``."""
+    return ks_scores_bulk(din, dout, ["x"], **kw)["x"]
+
+
+def _cv(spark, vals):
+    """Phase 1's CV of a one-key group-by whose output column ``x`` holds
+    ``vals`` (one group per value)."""
+    pdf = pd.DataFrame({"g": range(len(vals)), "v": vals})
+    step = GroupByStep(_df(spark, pdf), ["g"], [Aggregation("mean", "v", "x")])
+    return step_interestingness(step, columns=["x"])["x"]
 
 
 # ---------------------------------------------------------------- reference
@@ -89,6 +101,12 @@ class TestReferenceCV:
     def test_zero_mean_guard(self):
         assert reference.cv([-1.0, 1.0]) == 0.0
 
+    def test_infinite_value_zero(self):
+        # An inf makes the mean or the std non-finite; CV is then 0.0,
+        # not NaN (a NaN interestingness breaks the skyline sweep).
+        assert reference.cv([1.0, np.inf, 2.0]) == 0.0
+        assert reference.cv([-np.inf, np.inf]) == 0.0
+
     @given(st.lists(st.floats(0.1, 100.0), min_size=2, max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_nonnegative_for_positive_data(self, vals):
@@ -113,7 +131,7 @@ class TestSparkKS:
         b = g.integers(5, 25, 300)
         din = _df(spark, pd.DataFrame({"x": a}))
         dout = _df(spark, pd.DataFrame({"x": b}))
-        assert ks_statistic(din, dout, "x") == pytest.approx(
+        assert _ks(din, dout) == pytest.approx(
             reference.ks_2samp(a, b)
         )
 
@@ -122,23 +140,24 @@ class TestSparkKS:
         b = ["a"] * 5 + ["b"] * 20 + ["c"] * 30
         din = _df(spark, pd.DataFrame({"x": a}))
         dout = _df(spark, pd.DataFrame({"x": b}))
-        assert ks_statistic(din, dout, "x") == pytest.approx(
+        assert _ks(din, dout) == pytest.approx(
             reference.ks_2samp(a, b)
         )
 
     def test_identical_zero(self, spark):
         d = _df(spark, pd.DataFrame({"x": [1, 2, 3, 4, 5]}))
-        assert ks_statistic(d, d, "x") == 0.0
+        assert _ks(d, d) == 0.0
 
     def test_empty_output_zero(self, spark):
         din = _df(spark, pd.DataFrame({"x": [1, 2, 3]}))
         dout = din.filter("x > 100")
-        assert ks_statistic(din, dout, "x") == 0.0
+        assert _ks(din, dout) == 0.0
 
     def test_missing_column_zero(self, spark):
         din = _df(spark, pd.DataFrame({"x": [1, 2]}))
         dout = _df(spark, pd.DataFrame({"y": [1, 2]}))
-        assert ks_statistic(din, dout, "x") == 0.0
+        # No score: step_interestingness reads a missing score as 0.0.
+        assert ks_scores_bulk(din, dout, ["x"]) == {}
 
     def test_binning_approximates_high_cardinality(self, spark):
         g = np.random.default_rng(1)
@@ -147,27 +166,26 @@ class TestSparkKS:
         din = _df(spark, pd.DataFrame({"x": a}))
         dout = _df(spark, pd.DataFrame({"x": b}))
         exact = reference.ks_2samp(a, b)
-        binned = ks_statistic(din, dout, "x", max_distinct=200)
+        binned = _ks(din, dout, max_distinct=200)
         assert binned == pytest.approx(exact, abs=0.03)
 
     def test_nulls_dropped(self, spark):
         din = _df(spark, pd.DataFrame({"x": [1.0, None, 2.0, 2.0]}))
         dout = _df(spark, pd.DataFrame({"x": [1.0, 2.0, 2.0]}))
-        assert ks_statistic(din, dout, "x") == 0.0
+        assert _ks(din, dout) == 0.0
 
     def test_filter_shift_positive(self, spark):
         pdf = pd.DataFrame({"x": list(range(100))})
         din = _df(spark, pdf)
         dout = din.filter("x >= 50")
-        assert ks_statistic(din, dout, "x") == pytest.approx(0.5)
+        assert _ks(din, dout) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------- Spark CV
 class TestSparkCV:
     def test_matches_reference(self, spark):
         vals = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        d = _df(spark, pd.DataFrame({"x": vals}))
-        assert cv_diversity(d, "x") == pytest.approx(reference.cv(vals))
+        assert _cv(spark, vals) == pytest.approx(reference.cv(vals))
 
     def test_oracle_equivalence(self, spark):
         """The CV aggregate agrees with DuckDB's stddev_samp/avg."""
@@ -184,17 +202,23 @@ class TestSparkCV:
             t=pdf,
         )
 
+    def test_phase1_cv_matches_oracle(self, spark):
+        """Phase 1's CV (``reference.cv`` of the collected output) agrees
+        with DuckDB's stddev_samp/abs(avg) over the same values."""
+        pdf = pd.DataFrame({"x": np.random.default_rng(2).random(200) - 0.2})
+        got = _df(spark, pd.DataFrame({"cv": [_cv(spark, pdf["x"].tolist())]}))
+        assert_equivalent(
+            got, "SELECT stddev_samp(x) / abs(avg(x)) AS cv FROM t", t=pdf
+        )
+
     def test_constant_column(self, spark):
-        d = _df(spark, pd.DataFrame({"x": [5.0] * 10}))
-        assert cv_diversity(d, "x") == 0.0
+        assert _cv(spark, [5.0] * 10) == 0.0
 
     def test_single_row(self, spark):
-        d = _df(spark, pd.DataFrame({"x": [5.0]}))
-        assert cv_diversity(d, "x") == 0.0
+        assert _cv(spark, [5.0]) == 0.0
 
     def test_negative_mean(self, spark):
-        d = _df(spark, pd.DataFrame({"x": [-11.0, -9.0, -10.0]}))
-        assert cv_diversity(d, "x") == pytest.approx(0.1)
+        assert _cv(spark, [-11.0, -9.0, -10.0]) == pytest.approx(0.1)
 
 
 # ------------------------------------------------------- step-level scoring

@@ -131,6 +131,13 @@ class TestNumericPartition:
         p = numeric_partition(_stats(spark.createDataFrame(pdf), "x", 2), "x", 2)
         assert all("[" in lab and "]" in lab for lab in p.labels.values())
 
+    def test_infinite_edge_labels(self, spark):
+        # An inf max becomes the last edge; its label keeps it as "inf".
+        pdf = pd.DataFrame({"x": np.r_[np.arange(99, dtype=float), np.inf]})
+        p = numeric_partition(_stats(spark.createDataFrame(pdf), "x", 2), "x", 2)
+        assert p.labels[max(p.labels)].endswith(", inf]")
+        assert sum(_pid_counts(p).values()) == 100
+
     def test_covers_all_rows(self, songs):
         p = numeric_partition(_stats(songs, "loudness", 10), "loudness", 10)
         assert sum(_pid_counts(p).values()) == songs.count()
