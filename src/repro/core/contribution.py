@@ -22,8 +22,9 @@ Job budget per partitioned input, whatever the number of partitions and
 scored columns (SeeDB-style shared computation, Vartak et al. 2015):
 
 * exceptionality — per side (input, output), one aggregate for every set
-  share and every bin decision, and one aggregate over the side exploded
-  to one row per (partition, column) pair;
+  share (on the output also the ranges of binned columns; the bin
+  decisions read the input's memoized ``input_profile``), and one
+  aggregate over the side exploded to one row per (partition, column) pair;
 * diversity — one ``groupBy(keys, partition, set)`` aggregate over the
   input exploded to one row per partition.
 
@@ -41,6 +42,7 @@ from pyspark.sql import functions as F
 from repro.core import reference
 from repro.core.interestingness import (
     aligned_pivots,
+    input_profile,
     is_numeric,
     melted_counts,
     side_aggregates,
@@ -78,7 +80,7 @@ def exceptionality_contributions_multi(
     All partitions' pid expressions are attached to one annotated input,
     the operation is applied **once**, and both sides are persisted. Per
     side, one aggregate computes every (partition, set) share (caption
-    stats) together with the bin decisions of the scored numeric columns
+    stats), the output's also the ranges of binned columns
     (:func:`~repro.core.interestingness.side_aggregates`), and one melted
     aggregate counts every (partition, column) pair's values per set
     (:func:`~repro.core.interestingness.melted_counts`, phase 1's KS
@@ -116,7 +118,7 @@ def exceptionality_contributions_multi(
             for s in p.set_ids
         ]
         sin, sout, edges = side_aggregates(
-            ann_in, ann_out, numeric, max_distinct, share_exprs
+            input_profile(base), ann_in, ann_out, numeric, max_distinct, share_exprs
         )
 
         melt = [(F.col(pid_cols[k]), c) for k, c in pairs]
@@ -240,7 +242,10 @@ def _diversity_results(
     columns: list[str],
     partials: pd.DataFrame,
 ) -> list[ContributionResult]:
-    """One partition's CV contributions from its per-(group, set) partials."""
+    """One partition's CV contributions from its per-(group, set) partials.
+    Caption statistics ``overall_mean``/``overall_std`` are
+    :func:`~repro.core.reference.mean_std` of the group values: both 0.0
+    where CV is 0.0 for a non-finite moment or fewer than two groups."""
     full_vals = _recombine(partials, step, partials[PID].notna())
     loo_vals = {
         i: _recombine(partials, step, partials[PID] != i)
@@ -263,8 +268,7 @@ def _diversity_results(
             i: full_cv - reference.cv(loo_vals[i][c]) if c in loo_vals[i] else 0.0
             for i in partition.set_ids
         }
-        overall_mean = float(pd.to_numeric(full_vals[c], errors="coerce").mean())
-        overall_std = float(pd.to_numeric(full_vals[c], errors="coerce").std(ddof=1))
+        overall_mean, overall_std = reference.mean_std(full_vals[c])
         stats = {}
         for i in partition.set_ids:
             vals = pd.to_numeric(

@@ -4,7 +4,8 @@
   two-sample Kolmogorov–Smirnov statistic between the value distributions
   of ``d_in[A]`` and ``d_out[A]``. Both phases count values through one
   path: :func:`side_aggregates` (at most one aggregate per side: row
-  count, set shares, the bin decisions), :func:`melted_counts` (one count
+  count, set shares, the bin decisions of :func:`input_profile`),
+  :func:`melted_counts` (one count
   aggregate per side over the side exploded to one row per (set id,
   column) pair) and :func:`aligned_pivots` (both sides' counts in CDF
   order). The KS itself is :func:`repro.core.reference.ks_from_counts` /
@@ -22,7 +23,10 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import weakref
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import pandas as pd
@@ -57,7 +61,58 @@ def is_numeric(df: DataFrame, attr: str) -> bool:
     return isinstance(df.schema[attr].dataType, NUMERIC_TYPES)
 
 
+@dataclass(frozen=True)
+class InputProfile:
+    """What both phases read about one input DataFrame alone; see
+    :func:`input_profile`."""
+
+    rows: int
+    distinct: Mapping[str, int]  # exact; nulls out, NaN once, -0.0 == 0.0
+    raw_lo: Mapping[str, object]  # numeric min/max, NaN above +inf: bin edges
+    raw_hi: Mapping[str, object]
+    lo: Mapping[str, object]  # numeric min/max without nulls/NaNs: partition labels
+    hi: Mapping[str, object]
+
+
+_PROFILES: weakref.WeakKeyDictionary[DataFrame, InputProfile] = weakref.WeakKeyDictionary()
+
+
+def present(df: DataFrame, c: str) -> Column:
+    """``df[c]`` is neither null nor NaN — the rows ``na.drop`` keeps."""
+    cond = F.col(c).isNotNull()
+    if isinstance(df.schema[c].dataType, (T.FloatType, T.DoubleType)):
+        cond = cond & ~F.isnan(c)
+    return cond
+
+
+def input_profile(df: DataFrame) -> InputProfile:
+    """The :class:`InputProfile` of ``df``, from one Spark aggregate, once
+    per DataFrame object (a weak-keyed memo): both phases and every step
+    over one input share it. A DataFrame is an immutable plan; one over a
+    source that changes under it is out of scope."""
+    if df not in _PROFILES:
+        numeric = [c for c in df.columns if is_numeric(df, c)]
+        stats = {("distinct", c): F.size(F.collect_set(c)) for c in df.columns}
+        for c in numeric:
+            kept = F.when(present(df, c), F.col(c))
+            if isinstance(df.schema[c].dataType, (T.FloatType, T.DoubleType)):
+                # collect_set keeps each NaN apart from the others: count
+                # NaN once, as countDistinct does.
+                has_nan = F.count(F.when(F.isnan(c), 1)) > 0
+                stats["distinct", c] = F.size(F.collect_set(kept)) + has_nan.cast("int")
+            stats["raw_lo", c], stats["raw_hi", c] = F.min(c), F.max(c)
+            stats["lo", c], stats["hi", c] = F.min(kept), F.max(kept)
+        exprs = [e.alias(f"__{i}") for i, e in enumerate(stats.values())]
+        row = df.agg(F.count(F.lit(1)), *exprs).collect()[0]
+        fields: dict[str, dict] = {f: {} for f in ("distinct", "raw_lo", "raw_hi", "lo", "hi")}
+        for (f, c), v in zip(stats, row[1:]):
+            fields[f][c] = v
+        _PROFILES[df] = InputProfile(row[0], **{f: MappingProxyType(m) for f, m in fields.items()})
+    return _PROFILES[df]
+
+
 def side_aggregates(
+    profile: InputProfile,
     d_in: DataFrame,
     d_out: DataFrame,
     numeric: list[str],
@@ -67,20 +122,19 @@ def side_aggregates(
     """At most one aggregate per side of a KS comparison, and the one
     binning rule of both phases.
 
-    The input's row holds its row count ``__total``, the ``extra``
-    expressions, and the min/max and approximate (HyperLogLog) distinct
-    count of every ``numeric`` column. A numeric column is equal-width
-    binned when that distinct count exceeds ``max_distinct``. The output's
-    row holds ``__total``, ``extra`` and the min/max of the binned columns
-    only; the bin edges span both sides, since output values of a
-    join/union may exceed the partitioned input's range, so bin ids are
-    comparable across sides for the KS CDF alignment. A column whose range
-    is empty, degenerate or not finite is left unbinned.
+    A ``numeric`` column is equal-width binned when its exact distinct
+    count in ``profile`` (of the input ``d_in`` is or samples) exceeds
+    ``max_distinct``. The input's row holds its row count ``__total`` and
+    the ``extra`` expressions; the output's also the min/max of the binned
+    columns. The bin edges span the profile's range and the output's,
+    since output values of a join/union may exceed the partitioned input's
+    range, so bin ids are comparable across sides for the KS CDF
+    alignment. A column whose range is empty, degenerate or not finite is
+    left unbinned.
 
     A side's aggregate runs only when its row is read: the input's when
-    there is a numeric column or an ``extra`` expression, the output's
-    when a column is binned or there is an ``extra`` expression. A row
-    not computed is ``None``.
+    there is an ``extra`` expression, the output's also when a column is
+    binned. A row not computed is ``None``.
 
     KS compares CDFs over the *value order*; equal-width binning compacts
     the value domain to ≤ ``max_distinct`` points while preserving CDF
@@ -89,29 +143,19 @@ def side_aggregates(
     Returns ``(row_in, row_out, edges)``, ``edges`` mapping each binned
     column to its ``(lo, hi)``.
     """
-
-    def ranges(cols: list[str]) -> list[Column]:
-        return [
-            e
-            for c in cols
-            for e in (F.min(c).alias(f"__lo_{c}"), F.max(c).alias(f"__hi_{c}"))
-        ]
-
     total = F.count(F.lit(1)).alias("__total")
-    n_distinct = [F.approx_count_distinct(c).alias(f"__nd_{c}") for c in numeric]
-    row_in = (
-        d_in.agg(*extra, total, *ranges(numeric), *n_distinct).collect()[0]
-        if extra or numeric
-        else None
-    )
-    wide = [c for c in numeric if row_in[f"__nd_{c}"] > max_distinct]
+    wide = [c for c in numeric if profile.distinct[c] > max_distinct]
+    ranges = [
+        e for c in wide for e in (F.min(c).alias(f"__lo_{c}"), F.max(c).alias(f"__hi_{c}"))
+    ]
+    row_in = d_in.agg(*extra, total).collect()[0] if extra else None
     row_out = (
-        d_out.agg(*extra, total, *ranges(wide)).collect()[0] if extra or wide else None
+        d_out.agg(*extra, total, *ranges).collect()[0] if extra or wide else None
     )
     edges: dict[str, tuple[float, float]] = {}
     for c in wide:
-        los = [r[f"__lo_{c}"] for r in (row_in, row_out) if r[f"__lo_{c}"] is not None]
-        his = [r[f"__hi_{c}"] for r in (row_in, row_out) if r[f"__hi_{c}"] is not None]
+        los = [v for v in (profile.raw_lo[c], row_out[f"__lo_{c}"]) if v is not None]
+        his = [v for v in (profile.raw_hi[c], row_out[f"__hi_{c}"]) if v is not None]
         if not los or not his:
             continue
         lo, hi = float(min(los)), float(max(his))
@@ -200,21 +244,23 @@ def ks_scores_bulk(
     columns: list[str],
     *,
     max_distinct: int = 2000,
+    profile: InputProfile | None = None,
 ) -> dict[str, float]:
     """KS of every column of ``columns`` present on both sides, in a
-    constant number of Spark jobs: the :func:`side_aggregates` aggregate
-    of the input (none when every column is categorical; one more on the
-    output when a column is binned) and one :func:`melted_counts`
-    aggregate per side, numeric and categorical columns together.
-    High-cardinality numeric columns are binned by the rule phase 2 uses;
-    the driver-side KS combine is O(distinct values). A column with no
-    value on a side scores 0.0.
+    constant number of Spark jobs: one :func:`melted_counts` aggregate per
+    side, numeric and categorical columns together, and one more on the
+    output when a column is binned, by the rule phase 2 uses, on
+    ``profile`` (that of the input ``d_in`` samples; ``d_in``'s own by
+    default). The driver-side KS combine is O(distinct values). A column
+    with no value on a side scores 0.0.
     """
     cols = [c for c in columns if c in d_in.columns and c in d_out.columns]
     if not cols:
         return {}
     numeric = [c for c in cols if is_numeric(d_in, c) and is_numeric(d_out, c)]
-    _, _, edges = side_aggregates(d_in, d_out, numeric, max_distinct)
+    _, _, edges = side_aggregates(
+        profile or input_profile(d_in), d_in, d_out, numeric, max_distinct
+    )
     pairs = [(F.lit(IGNORE_PID), c) for c in cols]
     counts_in, counts_out = (
         melted_counts(df, pairs, set(numeric), edges, max_distinct)
@@ -231,12 +277,13 @@ def ks_scores_bulk(
     return scores
 
 
-def _sample_cap(df: DataFrame, sample_size: int | None, seed: int) -> DataFrame:
-    """Uniform row sample of ~``sample_size`` rows (paper §3.7). ``None``
-    disables sampling (exact FEDEX)."""
+def _sample_cap(df: DataFrame, sample_size: int | None, seed: int, rows=None) -> DataFrame:
+    """Uniform row sample of ~``sample_size`` rows (paper §3.7) of ``df``,
+    which has ``rows`` rows (counted if not given). ``None`` disables
+    sampling (exact FEDEX)."""
     if sample_size is None:
         return df
-    n = df.count()
+    n = df.count() if rows is None else rows
     if n <= sample_size:
         return df
     return df.sample(fraction=min(1.0, sample_size / n * 1.05), seed=seed)
@@ -288,8 +335,9 @@ def step_interestingness(
 
     scores: dict[str, float] = {}
     d_out = _sample_cap(step.output(), sample_size, seed).persist()
+    profiles = {name: input_profile(df) for name, df in step.inputs.items()}
     sampled_inputs = {
-        name: _sample_cap(df, sample_size, seed + 1 + i).persist()
+        name: _sample_cap(df, sample_size, seed + 1 + i, profiles[name].rows).persist()
         for i, (name, df) in enumerate(step.inputs.items())
     }
     try:
@@ -309,7 +357,7 @@ def step_interestingness(
             for c in side_cols:
                 owner.setdefault(c, name)
             per_side[name] = ks_scores_bulk(
-                df, d_out, side_cols, max_distinct=max_distinct
+                df, d_out, side_cols, max_distinct=max_distinct, profile=profiles[name]
             )
         for c in cols:
             if isinstance(step, UnionStep):

@@ -17,15 +17,15 @@ Three methods, as in the paper:
 
 All three read one :class:`PartitionStats`, which :func:`partition_stats`
 computes for *every* attribute partitioned on one input in a fixed budget
-of four Spark actions, whatever the number of attributes or set counts:
+of three Spark actions, whatever the number of attributes or set counts,
+plus the input's memoized :func:`~repro.core.interestingness.input_profile`
+(distinct counts and ranges) when no earlier step or phase computed it:
 
-1. one aggregate: ``countDistinct`` of every column, min/max of the
-   numeric attributes (nulls and NaNs left out, as from the quantiles);
-2. one multi-column ``approxQuantile`` for every numeric attribute and
+1. one multi-column ``approxQuantile`` for every numeric attribute and
    set count;
-3. one functional-dependency scan over the input exploded to one row per
+2. one functional-dependency scan over the input exploded to one row per
    (attribute, value);
-4. one top-n over the exploded (attribute, value) counts, ranked by a
+3. one top-n over the exploded (attribute, value) counts, ranked by a
    window ordered by (count desc, typed value asc), for the attributes and
    their many-to-one targets.
 
@@ -42,7 +42,7 @@ from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.interestingness import is_numeric
+from repro.core.interestingness import input_profile, is_numeric, present
 from repro.core.model import IGNORE_PID, PID
 
 
@@ -100,14 +100,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _present(df: DataFrame, c: str) -> Column:
-    """``df[c]`` is neither null nor NaN — the rows ``na.drop`` keeps."""
-    cond = F.col(c).isNotNull()
-    if isinstance(df.schema[c].dataType, (T.FloatType, T.DoubleType)):
-        cond = cond & ~F.isnan(c)
-    return cond
-
-
 def _melt_values(df: DataFrame, cols: list[str], *keep: str) -> DataFrame:
     """One row per (column, present value) of ``cols``, plus ``keep``.
 
@@ -120,7 +112,7 @@ def _melt_values(df: DataFrame, cols: list[str], *keep: str) -> DataFrame:
     types = [df.schema[c].dataType for c in cols]
     elems = [
         F.when(
-            _present(df, c),
+            present(df, c),
             F.struct(
                 F.lit(i).alias("__k"),
                 *[
@@ -164,14 +156,19 @@ def _top_values(df: DataFrame, cols: list[str], n: int) -> dict[str, list]:
 def _max_distinct_per_value(
     df: DataFrame, attrs: list[str], cols: list[str]
 ) -> dict[str, dict[str, int | None]]:
-    """For every attribute A: ``max over A-values of countDistinct(c)`` for
-    each column c — the FD consistency check, one exploded scan for all
+    """For every attribute A and column c: ``max over A-values of`` 0 if c
+    is all null, 1 if its min equals its max, else 2 (c's distinct count
+    capped at 2) — the FD consistency check, one exploded scan for all
     attributes. Rows whose A is null or NaN are not part of A's groups."""
     slots = [f"__v{i}" for i in range(len(attrs))]
+    per_group = [
+        F.when(F.min(c).isNull(), 0).when(F.min(c) == F.max(c), 1).otherwise(2).alias(c)
+        for c in cols
+    ]
     rows = (
         _melt_values(df, attrs, *cols)
         .groupBy("__k", *slots)
-        .agg(*[F.countDistinct(c).alias(c) for c in cols])
+        .agg(*per_group)
         .groupBy("__k")
         .agg(*[F.max(c).alias(c) for c in cols])
         .collect()
@@ -191,13 +188,13 @@ def partition_stats(
     max_m2o_targets: int = 2,
 ) -> PartitionStats:
     """The statistics every partition of ``attrs`` over ``d_in`` needs, in
-    at most four Spark actions (see the module docstring).
+    at most three Spark actions and the input's profile (module docstring).
 
     Many-to-one targets of attribute A are the candidate columns B (all
     other columns by default) with a strictly coarser functional
     dependency A→B: every A-value maps to exactly one B-value
-    (``max over A-groups of countDistinct(B) == 1``) and some B-value
-    covers ≥2 A-values (``countDistinct(B) < countDistinct(A)``). Only the
+    (at most one distinct B-value in every A-group, one in some) and some
+    B-value covers ≥2 A-values (B has fewer distinct values than A). Only the
     coarsest (fewest-distinct) ``max_m2o_targets`` of them are kept,
     bounding candidate blow-up on wide schemas.
     """
@@ -206,16 +203,10 @@ def partition_stats(
         many_to_one_candidates = d_in.columns
     candidates = [c for c in many_to_one_candidates if c != PID]
     numeric = [a for a in attrs if is_numeric(d_in, a)]
-    counted = list(dict.fromkeys(attrs + candidates))
+    profile = input_profile(d_in)
     # Nulls and NaNs are left out of each numeric attribute's range and
     # quantiles, as ``na.drop`` on that attribute alone would.
-    present = {a: F.when(_present(d_in, a), F.col(a)) for a in numeric}
-    row = d_in.agg(
-        *[F.countDistinct(c).alias(f"__nd_{c}") for c in counted],
-        *[F.min(v).alias(f"__lo_{a}") for a, v in present.items()],
-        *[F.max(v).alias(f"__hi_{a}") for a, v in present.items()],
-    ).collect()[0]
-    distinct = {c: row[f"__nd_{c}"] for c in counted}
+    kept = {a: F.when(present(d_in, a), F.col(a)) for a in numeric}
 
     quantiles: dict[str, dict[int, list[float]]] = {}
     if numeric:
@@ -224,7 +215,7 @@ def partition_stats(
             grid = [i / n for i in range(1, n)]
             spans[n] = (len(probs), len(probs) + len(grid))
             probs.extend(grid)
-        qss = d_in.select(*[v.alias(a) for a, v in present.items()]).approxQuantile(
+        qss = d_in.select(*[v.alias(a) for a, v in kept.items()]).approxQuantile(
             numeric, probs, 1e-3
         )
         for a, qs in zip(numeric, qss):
@@ -240,15 +231,15 @@ def partition_stats(
                 for c in candidates
                 if c != a
                 and per_value[a].get(c) == 1
-                and 0 < distinct[c] < distinct[a]
+                and 0 < profile.distinct[c] < profile.distinct[a]
             ]
-            fd[a] = sorted(targets, key=lambda c: distinct[c])[:max_m2o_targets]
+            fd[a] = sorted(targets, key=lambda c: profile.distinct[c])[:max_m2o_targets]
 
     top_cols = list(dict.fromkeys(attrs + [b for a in attrs for b in fd.get(a, [])]))
     return PartitionStats(
         d_in=d_in,
-        lo={a: row[f"__lo_{a}"] for a in numeric},
-        hi={a: row[f"__hi_{a}"] for a in numeric},
+        lo={a: profile.lo[a] for a in numeric},
+        hi={a: profile.hi[a] for a in numeric},
         quantiles=quantiles,
         fd=fd,
         top=_top_values(d_in, top_cols, max(n_sets)),

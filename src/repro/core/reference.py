@@ -40,6 +40,15 @@ def ks_2samp(a, b) -> float:
     return ks_from_counts(ca, cb)
 
 
+def mean_std(values) -> tuple[float, float]:
+    """Mean and sample std of ``values`` without nulls/NaNs, the moments of
+    :func:`cv`: both 0.0 for fewer than two values or a non-finite one."""
+    v = pd.Series(values).dropna().to_numpy(dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean, std = (v.mean(), v.std(ddof=1)) if v.size > 1 else (0.0, 0.0)
+    return (float(mean), float(std)) if np.isfinite(mean) and np.isfinite(std) else (0.0, 0.0)
+
+
 def cv(values) -> float:
     """Coefficient of variation (paper Eq. 2): sample std / |mean|.
 
@@ -49,14 +58,8 @@ def cv(values) -> float:
     (an infinite value) — score 0.0: a single group, a zero-mean column
     or an unbounded one offers no meaningful diversity signal to explain.
     """
-    v = pd.Series(values).dropna().to_numpy(dtype=float)
-    if v.size < 2:
-        return 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        mean, std = v.mean(), v.std(ddof=1)
-    if not (np.isfinite(mean) and np.isfinite(std)) or abs(mean) < 1e-12:
-        return 0.0
-    return float(std / abs(mean))
+    mean, std = mean_std(values)
+    return 0.0 if abs(mean) < 1e-12 else std / abs(mean)
 
 
 def leave_one_out_ks(

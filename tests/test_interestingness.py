@@ -1,17 +1,25 @@
 """Unit tests for the interestingness measures (paper §3.2)."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core import reference
+from repro.core.contribution import exceptionality_contributions_multi
 from repro.core.interestingness import (
+    input_profile,
     is_numeric,
     ks_scores_bulk,
+    present,
     scoreable_columns,
     step_interestingness,
 )
+from repro.core.partition import partitions_for_attribute
 from repro.core.model import Aggregation, FilterStep, GroupByStep, JoinStep, UnionStep
 from repro.oracle import assert_equivalent
 
@@ -179,6 +187,115 @@ class TestSparkKS:
         din = _df(spark, pdf)
         dout = din.filter("x >= 50")
         assert _ks(din, dout) == pytest.approx(0.5)
+
+
+class TestInputProfile:
+    """The profile's statistics equal the aggregates they replace."""
+
+    @pytest.fixture(scope="class")
+    def df(self, spark):
+        nan, inf = float("nan"), float("inf")
+        schema = T.StructType(
+            [
+                T.StructField("d", T.DoubleType()),
+                T.StructField("f", T.FloatType()),
+                T.StructField("i", T.LongType()),
+                T.StructField("s", T.StringType()),
+                T.StructField("b", T.BooleanType()),
+                T.StructField("n", T.DoubleType()),
+            ]
+        )
+        rows = [
+            (0.0, -0.0, 3, "a", True, None),
+            (-0.0, 0.0, None, "b", False, None),
+            (nan, nan, 3, None, None, None),
+            (nan, nan, -2, "a", True, None),
+            (None, None, 7, "", None, None),
+            (1.5, 1.5, 7, "b", True, None),
+            (inf, -inf, -2, "c", False, None),
+            (-inf, 2.5, None, "a", True, None),
+        ]
+        return spark.createDataFrame(rows, schema)
+
+    def test_distinct_counts_match_count_distinct(self, df):
+        profile = input_profile(df)
+        expected = df.agg(*[F.countDistinct(c).alias(c) for c in df.columns])
+        assert dict(profile.distinct) == expected.collect()[0].asDict()
+        assert profile.rows == df.count()
+
+    def test_ranges_match_min_max(self, df):
+        # raw_lo/raw_hi: the bin rule's min/max (NaN ordered last);
+        # lo/hi: partition_stats' min/max with nulls and NaNs left out.
+        profile = input_profile(df)
+        numeric = ["d", "f", "i", "n"]
+        kept = {c: F.when(present(df, c), F.col(c)) for c in numeric}
+        row = df.agg(
+            *[F.min(c).alias(f"raw_lo_{c}") for c in numeric],
+            *[F.max(c).alias(f"raw_hi_{c}") for c in numeric],
+            *[F.min(v).alias(f"lo_{c}") for c, v in kept.items()],
+            *[F.max(v).alias(f"hi_{c}") for c, v in kept.items()],
+        ).collect()[0]
+
+        def same(a, b):
+            return a == b or (
+                isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b)
+            )
+
+        for field in ("raw_lo", "raw_hi", "lo", "hi"):
+            got = getattr(profile, field)
+            assert set(got) == set(numeric), field
+            for c in numeric:
+                assert same(got[c], row[f"{field}_{c}"]), (field, c)
+        assert math.isnan(profile.raw_hi["d"]) and profile.hi["d"] == math.inf
+
+    def test_one_profile_per_dataframe_object(self, df):
+        assert input_profile(df) is input_profile(df)
+        copy = df.select("*")
+        assert input_profile(copy) is not input_profile(df)
+        assert input_profile(copy).distinct == input_profile(df).distinct
+
+
+class TestBinRule:
+    """One binning rule for both phases: a numeric column is binned when
+    its exact distinct count on the input exceeds ``max_distinct``."""
+
+    @staticmethod
+    def _scores(spark, values, max_distinct=10):
+        """Phase 1's I and phase 2's full KS of ``x`` for the filter
+        ``x = 0``, unsampled."""
+        # From rows, not pandas: a pandas NaN would arrive as a null.
+        df = spark.createDataFrame([(float(v),) for v in np.repeat(values, 3)], "x double")
+        step = FilterStep(df, "x = 0")
+        phase1 = step_interestingness(step, columns=["x"], max_distinct=max_distinct)
+        p = partitions_for_attribute(df, ["x"], (2,))[0]
+        (res,) = exceptionality_contributions_multi(
+            step, [(p, ["x"])], max_distinct=max_distinct
+        )
+        return phase1["x"], res.score_full
+
+    @staticmethod
+    def _values(n):
+        """``n`` distinct values; 0 and 0.5 share bin 0 when binned."""
+        return [0.0, 0.5] + [float(v) for v in range(2, n)]
+
+    def test_exactly_max_distinct_stays_unbinned(self, spark):
+        # Exact KS: only the value 0 is kept, 1 of 10 input values.
+        for score in self._scores(spark, self._values(10)):
+            assert score == pytest.approx(1 - 1 / 10)
+
+    def test_one_more_is_binned(self, spark):
+        # Binned: 0 and 0.5 fall in one bin, 2 of 11 input values.
+        for score in self._scores(spark, self._values(11)):
+            assert score == pytest.approx(1 - 2 / 11)
+
+    @pytest.mark.parametrize("extra", [float("nan"), float("inf")])
+    def test_non_finite_range_left_unbinned(self, spark, extra):
+        # A NaN or inf makes the range not finite: exact KS over the
+        # present values (NaN is dropped, inf is one more value).
+        values = self._values(11) + [extra]
+        n = 11 if math.isnan(extra) else 12
+        for score in self._scores(spark, values):
+            assert score == pytest.approx(1 - 1 / n)
 
 
 # ---------------------------------------------------------------- Spark CV

@@ -4,8 +4,10 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.interestingness import present
 from repro.core.model import IGNORE_PID, PID
 from repro.core.partition import (
+    _max_distinct_per_value,
     find_many_to_one,
     frequency_partition,
     many_to_one_partitions,
@@ -184,6 +186,68 @@ class TestManyToOne:
         stats = _stats(spark.createDataFrame(pdf), "a", 5, max_m2o_targets=1)
         ps = many_to_one_partitions(stats, "a", 5)
         assert len(ps) == 1
+
+
+class TestFunctionalDependencyScan:
+    """The min == max FD test decides as the ``countDistinct`` scan did."""
+
+    @pytest.fixture(scope="class")
+    def df(self, spark):
+        nan = float("nan")
+        rows = [
+            # a  b_nonnull  b_null  b_nan  b_zero  b_mixed  s
+            (1, "x", None, nan, 0.0, nan, "p"),
+            (1, "x", None, nan, -0.0, 1.0, "p"),
+            (2, "x", "p", 1.0, 1.0, 1.0, "q"),
+            (2, "x", "p", 1.0, 1.0, 1.0, "q"),
+            (3, "y", "q", 1.0, 2.0, 2.0, "r"),
+            (3, "y", "q", 1.0, 2.0, 2.0, None),
+            (4, "y", "q", 2.0, 2.0, 2.0, "r"),
+            # Rows with a null A belong to no A-group: b_nonnull maps
+            # A -> B only on the non-null A values.
+            (None, "x", "p", 2.0, 1.0, 1.0, "s"),
+            (None, "y", "q", 1.0, 2.0, 2.0, "s"),
+        ]
+        schema = (
+            "a long, b_nonnull string, b_null string, b_nan double, "
+            "b_zero double, b_mixed double, s string"
+        )
+        return spark.createDataFrame(rows, schema)
+
+    @pytest.fixture(scope="class")
+    def old_scan(self, df):
+        """The replaced check: for every attribute A and column c, max over
+        A-groups of countDistinct(c)."""
+        return {
+            a: df.where(present(df, a))
+            .groupBy(a)
+            .agg(*[F.countDistinct(c).alias(f"nd_{c}") for c in df.columns])
+            .agg(*[F.max(f"nd_{c}").alias(c) for c in df.columns])
+            .collect()[0]
+            .asDict()
+            for a in df.columns
+        }
+
+    def test_matches_count_distinct_scan(self, df, old_scan):
+        cols = df.columns
+        got = _max_distinct_per_value(df, cols, cols)
+        for a in cols:
+            for c in cols:
+                assert got[a][c] == min(old_scan[a][c], 2), (a, c)
+
+    def test_same_fd_targets(self, df, old_scan):
+        cols = df.columns
+        nd = df.agg(*[F.countDistinct(c).alias(c) for c in cols]).collect()[0]
+        stats = partition_stats(df, cols, (5,), max_m2o_targets=len(cols))
+        for a in cols:
+            expected = sorted(
+                (c for c in cols if c != a and old_scan[a][c] == 1 and 0 < nd[c] < nd[a]),
+                key=lambda c: nd[c],
+            )
+            assert find_many_to_one(stats, a) == expected, a
+        # The cases the fixture plants, read from the new scan:
+        assert set(find_many_to_one(stats, "a")) >= {"b_nonnull", "b_null", "b_nan", "b_zero"}
+        assert "b_mixed" not in find_many_to_one(stats, "a")
 
 
 class TestPartitionsForAttribute:
