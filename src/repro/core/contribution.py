@@ -21,10 +21,10 @@ every set-of-rows R in a partition. Recomputing ``q`` per set would cost
 Job budget per partitioned input, whatever the number of partitions and
 scored columns (SeeDB-style shared computation, Vartak et al. 2015):
 
-* exceptionality — per side (input, output), one aggregate for every set
-  share (on the output also the ranges of binned columns; the bin
-  decisions read the input's memoized ``input_profile``), and one
-  aggregate over the side exploded to one row per (partition, column) pair;
+* exceptionality — one aggregate over both sides (input and output), each
+  exploded to one row per (partition, column) pair plus one share element
+  per partition; the bin decisions and edges read the memoized
+  ``input_profile`` of the inputs and run no job;
 * diversity — one ``groupBy(keys, partition, set)`` aggregate over the
   input exploded to one row per partition.
 
@@ -42,10 +42,11 @@ from pyspark.sql import functions as F
 from repro.core import reference
 from repro.core.interestingness import (
     aligned_pivots,
-    input_profile,
+    bin_edges,
+    binned,
     is_numeric,
+    melt_element,
     melted_counts,
-    side_aggregates,
 )
 from repro.core.model import PID, GroupByStep, Step
 from repro.core.partition import Partition
@@ -75,88 +76,70 @@ def exceptionality_contributions_multi(
     max_distinct: int = 2000,
 ) -> list[ContributionResult]:
     """Leave-one-out KS contributions for many partitions of the *same*
-    input dataframe, in a fixed number of Spark jobs.
+    input dataframe, from one Spark aggregate.
 
-    All partitions' pid expressions are attached to one annotated input,
-    the operation is applied **once**, and both sides are persisted. Per
-    side, one aggregate computes every (partition, set) share (caption
-    stats), the output's also the ranges of binned columns
-    (:func:`~repro.core.interestingness.side_aggregates`), and one melted
-    aggregate counts every (partition, column) pair's values per set
-    (:func:`~repro.core.interestingness.melted_counts`, phase 1's KS
-    counting path).
+    All partitions' pid expressions are attached to one annotated input
+    and the operation is applied **once**. One
+    :func:`~repro.core.interestingness.melted_counts` aggregate reads each
+    side once (so neither is persisted) and counts, per set, every
+    (partition, column) pair's values (phase 1's KS counting path, binned
+    by :func:`~repro.core.interestingness.bin_edges`) and one constant
+    value per partition, whose counts give the caption's set shares.
     """
     if not groups:
         return []
     base = groups[0][0].base
     pid_cols = [f"{PID}_{k}" for k in range(len(groups))]
-    ann_in = base.select(
-        "*", *[p.pid.alias(pc) for (p, _), pc in zip(groups, pid_cols)]
-    ).persist()
-    ann_out = step.apply_annotated(ann_in).persist()
+    ann_in = base.select("*", *[p.pid.alias(pc) for (p, _), pc in zip(groups, pid_cols)])
+    ann_out = step.apply_annotated(ann_in)
+    columns = sorted(
+        {c for _, cols in groups for c in cols if c in ann_in.columns and c in ann_out.columns}
+    )
+    pairs = [(k, c) for k, (_, cols) in enumerate(groups) for c in cols if c in columns]
+    if not pairs:
+        return []
+    numeric = [c for c in columns if is_numeric(ann_in, c) and is_numeric(ann_out, c)]
+    edges = bin_edges(step, base, numeric, max_distinct)
+    # Elements 0..n-1 count the pairs' values; element n + k counts a
+    # constant per set of partition k: its shares.
+    n = len(pairs)
+    elems = [
+        melt_element(
+            j, binned(c, edges.get(c), max_distinct), c in numeric, F.col(pid_cols[k])
+        )
+        for j, (k, c) in enumerate(pairs)
+    ] + [melt_element(n + k, F.lit(0.0), True, F.col(pc)) for k, pc in enumerate(pid_cols)]
+    counts = melted_counts([(ann_in, elems), (ann_out, elems)])
+
+    stats = []
+    for k, (p, _) in enumerate(groups):
+        share_in, share_out = (_shares(counts.get((s, n + k)), p.set_ids) for s in (0, 1))
+        stats.append({i: {"share_in": share_in[i], "share_out": share_out[i]} for i in p.set_ids})
     results: list[ContributionResult] = []
-    try:
-        columns = sorted(
-            {
-                c
-                for _, cols in groups
-                for c in cols
-                if c in ann_in.columns and c in ann_out.columns
-            }
-        )
-        pairs = [
-            (k, c) for k, (_, cols) in enumerate(groups) for c in cols if c in columns
-        ]
-        if not pairs:
-            return results
-        numeric = [
-            c for c in columns if is_numeric(ann_in, c) and is_numeric(ann_out, c)
-        ]
-        share_exprs = [
-            F.sum((F.col(pc) == s).cast("long")).alias(f"{pc}__{s}")
-            for (p, _), pc in zip(groups, pid_cols)
-            for s in p.set_ids
-        ]
-        sin, sout, edges = side_aggregates(
-            input_profile(base), ann_in, ann_out, numeric, max_distinct, share_exprs
-        )
-
-        melt = [(F.col(pid_cols[k]), c) for k, c in pairs]
-        counts_in, counts_out = (
-            melted_counts(ann, melt, set(numeric), edges, max_distinct)
-            for ann in (ann_in, ann_out)
-        )
-
-        tot_in, tot_out = sin["__total"], sout["__total"]
-        stats = [
-            {
-                i: {
-                    "share_in": (sin[f"{pc}__{i}"] or 0) / tot_in if tot_in else 0.0,
-                    "share_out": (sout[f"{pc}__{i}"] or 0) / tot_out if tot_out else 0.0,
-                }
-                for i in p.set_ids
-            }
-            for (p, _), pc in zip(groups, pid_cols)
-        ]
-        for j, (k, c) in enumerate(pairs):
-            p = groups[k][0]
-            piv = aligned_pivots(counts_in.get(j), counts_out.get(j), c in numeric)
-            if piv is None:
-                continue
-            full, loo = reference.leave_one_out_ks(*piv, p.set_ids)
-            results.append(
-                ContributionResult(
-                    column=c,
-                    partition=p,
-                    score_full=full,
-                    contributions={i: full - loo[i] for i in p.set_ids},
-                    stats=stats[k],
-                )
+    for j, (k, c) in enumerate(pairs):
+        p = groups[k][0]
+        piv = aligned_pivots(counts.get((0, j)), counts.get((1, j)), c in numeric)
+        if piv is None:
+            continue
+        full, loo = reference.leave_one_out_ks(*piv, p.set_ids)
+        results.append(
+            ContributionResult(
+                column=c,
+                partition=p,
+                score_full=full,
+                contributions={i: full - loo[i] for i in p.set_ids},
+                stats=stats[k],
             )
-    finally:
-        ann_in.unpersist()
-        ann_out.unpersist()
+        )
     return results
+
+
+def _shares(counts: pd.DataFrame | None, set_ids: list[int]) -> dict[int, float]:
+    """Each set's share of a side's rows, from a share element's per-set
+    counts (the ignore-set included in the total); 0.0 on an empty side."""
+    per_set = {} if counts is None else dict(zip(counts[PID], counts["__cnt"]))
+    total = int(sum(per_set.values()))
+    return {i: int(per_set.get(i, 0)) / total if total else 0.0 for i in set_ids}
 
 
 def _recombine(partials: pd.DataFrame, step: GroupByStep, keep: pd.Series) -> pd.DataFrame:

@@ -10,7 +10,7 @@
 4. compute every set's leave-one-out contribution and its standardized
    form,
 5. keep positive-contribution candidates (Algorithm 1 line 11), take the
-   (I, C̄) skyline, rank by the weighted score, and caption.
+   (I, C̄) skyline, order by I then C̄ (``_present_order``), and caption.
 
 Candidate pairing follows the paper's examples: exceptionality steps
 partition the input on the scored column itself (plus many-to-one
@@ -63,7 +63,7 @@ class Explanation:
     interestingness: float  # I_A(Q)
     contribution: float  # C(R, A, Q)
     std_contribution: float  # C̄(R, A)
-    score: float  # weighted ranking score
+    score: float  # §3.7 weighted score, reported only
     caption: str
     stats: dict = field(default_factory=dict)
 
@@ -186,9 +186,9 @@ class Fedex:
         results: list[tuple[Partition, "object"]],
     ) -> list[Explanation]:
         """Algorithm 1 lines 7-12 from precomputed pieces: form positive
-        explanation candidates with standardized contributions, ranked by
-        the weighted score. Only columns in the given top-k ``scores``
-        selection are assembled."""
+        explanation candidates with standardized contributions, in
+        presentation order (I, then C̄; see ``_present_order``). Only
+        columns in the given top-k ``scores`` selection are assembled."""
         top = set(self._top_columns(scores))
         candidates: list[Explanation] = []
         for p, res in results:
@@ -207,16 +207,16 @@ class Fedex:
 
     def candidates(self, step: Step) -> list[Explanation]:
         """All positive-contribution explanation candidates (Algorithm 1
-        lines 1-12), ranked by the weighted score. ``explain`` applies the
-        skyline on top; the Fig. 7/8 accuracy metrics compare these full
-        rankings."""
+        lines 1-12), in presentation order (I, then C̄). ``explain``
+        applies the skyline on top; the Fig. 7/8 accuracy metrics compare
+        these full rankings."""
         scores = self.interesting_columns(step)
         results = self.contribution_results(step, self._top_columns(scores))
         return self.assemble(step, scores, results)
 
     def explain(self, step: Step) -> list[Explanation]:
-        """Skyline explanations for ``step`` (Algorithm 1, full), ranked
-        by the weighted score, optionally capped at top-k."""
+        """Skyline explanations for ``step`` (Algorithm 1, full), in
+        presentation order (I, then C̄), optionally capped at top-k."""
         cands = self.candidates(step)
         if not cands:
             return []

@@ -3,14 +3,15 @@
 * **Exceptionality** (Eq. 1), for filter, join and union steps: the
   two-sample Kolmogorov–Smirnov statistic between the value distributions
   of ``d_in[A]`` and ``d_out[A]``. Both phases count values through one
-  path: :func:`side_aggregates` (at most one aggregate per side: row
-  count, set shares, the bin decisions of :func:`input_profile`),
-  :func:`melted_counts` (one count
-  aggregate per side over the side exploded to one row per (set id,
-  column) pair) and :func:`aligned_pivots` (both sides' counts in CDF
+  path, in **one** Spark aggregate per phase: :func:`bin_edges` (the bin
+  decisions and edges, from the memoized :func:`input_profile` alone),
+  :func:`melted_counts` (every side exploded to one row per (set id,
+  column) element, tagged with its side, unioned and counted by one
+  ``groupBy``) and :func:`aligned_pivots` (both sides' counts in CDF
   order). The KS itself is :func:`repro.core.reference.ks_from_counts` /
   :func:`~repro.core.reference.leave_one_out_ks` on those counts.
-  :func:`ks_scores_bulk` is phase 1's caller, with one constant set id;
+  :func:`ks_scores_bulk` is phase 1's caller, with one constant set id,
+  for every input side of a step at once;
   ``contribution.exceptionality_contributions_multi`` is phase 2's.
 * **Diversity** (Eq. 2), for group-by steps: the coefficient of variation
   :func:`repro.core.reference.cv` of each aggregated output column,
@@ -22,6 +23,7 @@
 """
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from collections.abc import Mapping, Sequence
@@ -30,7 +32,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, Row
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -40,6 +42,7 @@ from repro.core.model import (
     PID,
     FilterStep,
     GroupByStep,
+    JoinStep,
     Step,
     UnionStep,
 )
@@ -111,62 +114,54 @@ def input_profile(df: DataFrame) -> InputProfile:
     return _PROFILES[df]
 
 
-def side_aggregates(
-    profile: InputProfile,
-    d_in: DataFrame,
-    d_out: DataFrame,
-    numeric: list[str],
-    max_distinct: int,
-    extra: Sequence[Column] = (),
-) -> tuple[Row | None, Row | None, dict[str, tuple[float, float]]]:
-    """At most one aggregate per side of a KS comparison, and the one
-    binning rule of both phases.
+def bin_edges(
+    step: Step, compared: DataFrame, columns: Sequence[str], max_distinct: int
+) -> dict[str, tuple[float, float]]:
+    """The one binning rule of both phases, for the comparison of the
+    input ``compared`` (unsampled) with ``step``'s output: a numeric
+    column is equal-width binned when its exact distinct count on
+    ``compared`` exceeds ``max_distinct``.
 
-    A ``numeric`` column is equal-width binned when its exact distinct
-    count in ``profile`` (of the input ``d_in`` is or samples) exceeds
-    ``max_distinct``. The input's row holds its row count ``__total`` and
-    the ``extra`` expressions; the output's also the min/max of the binned
-    columns. The bin edges span the profile's range and the output's,
-    since output values of a join/union may exceed the partitioned input's
-    range, so bin ids are comparable across sides for the KS CDF
-    alignment. A column whose range is empty, degenerate or not finite is
-    left unbinned.
-
-    A side's aggregate runs only when its row is read: the input's when
-    there is an ``extra`` expression, the output's also when a column is
-    binned. A row not computed is ``None``.
+    The edges span the range of every input whose values reach the
+    output, read from the memoized :func:`input_profile` (no Spark job):
+    the compared input for a filter or a join, whose output values of the
+    column are a subset of its values, and every input for a union, whose
+    output is their union. So bin ids are comparable across sides for the
+    KS CDF alignment. A column whose range is empty, degenerate or not
+    finite is left unbinned.
 
     KS compares CDFs over the *value order*; equal-width binning compacts
     the value domain to ≤ ``max_distinct`` points while preserving CDF
     gaps at bin resolution (documented substitution in DESIGN.md).
 
-    Returns ``(row_in, row_out, edges)``, ``edges`` mapping each binned
-    column to its ``(lo, hi)``.
+    Returns ``{column: (lo, hi)}`` for the binned columns.
     """
-    total = F.count(F.lit(1)).alias("__total")
-    wide = [c for c in numeric if profile.distinct[c] > max_distinct]
-    ranges = [
-        e for c in wide for e in (F.min(c).alias(f"__lo_{c}"), F.max(c).alias(f"__hi_{c}"))
-    ]
-    row_in = d_in.agg(*extra, total).collect()[0] if extra else None
-    row_out = (
-        d_out.agg(*extra, total, *ranges).collect()[0] if extra or wide else None
+    profile = input_profile(compared)
+    span = (
+        [input_profile(df) for df in step.inputs.values()]
+        if isinstance(step, UnionStep)
+        else [profile]
     )
     edges: dict[str, tuple[float, float]] = {}
-    for c in wide:
-        los = [v for v in (profile.raw_lo[c], row_out[f"__lo_{c}"]) if v is not None]
-        his = [v for v in (profile.raw_hi[c], row_out[f"__hi_{c}"]) if v is not None]
-        if not los or not his:
+    for c in columns:
+        if c not in profile.raw_lo or profile.distinct[c] <= max_distinct:
             continue
-        lo, hi = float(min(los)), float(max(his))
+        bounds = [
+            float(v) for p in span for v in (p.raw_lo.get(c), p.raw_hi.get(c)) if v is not None
+        ]
+        if not bounds or any(math.isnan(v) for v in bounds):
+            continue
+        lo, hi = min(bounds), max(bounds)
         if math.isfinite(hi - lo) and hi > lo:
             edges[c] = (lo, hi)
-    return row_in, row_out, edges
+    return edges
 
 
-def binned(attr: str, edge: tuple[float, float], max_distinct: int) -> Column:
-    """Bin id of ``attr`` on the equal-width grid of
-    :func:`side_aggregates`; nulls stay null."""
+def binned(attr: str, edge: tuple[float, float] | None, max_distinct: int) -> Column:
+    """Bin id of ``attr`` on the equal-width grid of :func:`bin_edges`
+    (nulls stay null), or ``attr`` itself when ``edge`` is ``None``."""
+    if edge is None:
+        return F.col(attr)
     lo, hi = edge
     width = (hi - lo) / max_distinct
     b = F.least(
@@ -176,55 +171,54 @@ def binned(attr: str, edge: tuple[float, float], max_distinct: int) -> Column:
     return F.when(F.col(attr).isNull(), None).otherwise(b)
 
 
-def melted_counts(
-    df: DataFrame,
-    pairs: list[tuple[Column, str]],
-    numeric: set[str],
-    edges: dict[str, tuple[float, float]],
-    max_distinct: int,
-) -> dict[int, pd.DataFrame]:
-    """Per-(value, set) row counts of every (set-id expression, column)
-    pair in ``pairs``, keyed by the pair's index — one Spark aggregate
-    over ``df`` exploded to one row per pair.
+def melt_element(j: int, value: Column, numeric: bool, pid: Column) -> Column:
+    """Element ``j`` of a :func:`melted_counts` melt: ``value`` (a number
+    or bin id, else cast to a string) counted per set id ``pid``."""
+    vn, vs = F.lit(None).cast("double"), F.lit(None).cast("string")
+    if numeric:
+        vn = value.cast("double")
+    else:
+        vs = value.cast("string")
+    return F.struct(
+        F.lit(j).alias("__j"), vn.alias("__vn"), vs.alias("__vs"), pid.alias(PID)
+    )
 
-    Numeric values go to ``__vn`` as doubles (bin ids for columns in
-    ``edges``), other values to ``__vs`` as strings; nulls and NaNs are
-    dropped, as from a value distribution. A pair whose column has no
-    value on ``df`` has no entry.
+
+def melted_counts(
+    sides: Sequence[tuple[DataFrame, Sequence[Column]]],
+) -> dict[tuple[int, int], pd.DataFrame]:
+    """Per-(value, set) row counts of every :func:`melt_element` of every
+    side, keyed by ``(side index, element index)`` — **one** Spark
+    aggregate: each side is exploded to one row per element and tagged
+    with its index, the melts are unioned, and one
+    ``groupBy(side, element, value, set).count()`` is collected.
+
+    Numeric values go to ``__vn`` as doubles, other values to ``__vs`` as
+    strings; nulls and NaNs are dropped, as from a value distribution. An
+    element with no value on a side has no entry.
     """
-    elems = []
-    for j, (pid, c) in enumerate(pairs):
-        if c in numeric:
-            v = binned(c, edges[c], max_distinct) if c in edges else F.col(c)
-            vn = v.cast("double")
-            vs = F.lit(None).cast("string")
-        else:
-            vn, vs = F.lit(None).cast("double"), F.col(c).cast("string")
-        elems.append(
-            F.struct(
-                F.lit(j).alias("__j"),
-                vn.alias("__vn"),
-                vs.alias("__vs"),
-                pid.alias(PID),
-            )
-        )
+    melts = [
+        df.select(F.lit(s).alias("__side"), F.inline(F.array(*elems)))
+        for s, (df, elems) in enumerate(sides)
+        if elems
+    ]
+    if not melts:
+        return {}
     counts = (
-        df.select(F.inline(F.array(*elems)))
-        .where(
-            (F.col("__vn").isNotNull() & ~F.isnan("__vn")) | F.col("__vs").isNotNull()
-        )
-        .groupBy("__j", "__vn", "__vs", PID)
+        functools.reduce(DataFrame.unionByName, melts)
+        .where((F.col("__vn").isNotNull() & ~F.isnan("__vn")) | F.col("__vs").isNotNull())
+        .groupBy("__side", "__j", "__vn", "__vs", PID)
         .agg(F.count(F.lit(1)).alias("__cnt"))
         .toPandas()
     )
-    return dict(tuple(counts.groupby("__j")))
+    return dict(tuple(counts.groupby(["__side", "__j"])))
 
 
 def aligned_pivots(
     counts_in: pd.DataFrame | None, counts_out: pd.DataFrame | None, numeric: bool
 ) -> tuple[pd.DataFrame, pd.DataFrame] | None:
-    """One pair's :func:`melted_counts` of both sides as value × set count
-    tables, aligned on the union of values in CDF order (ascending
+    """One element's :func:`melted_counts` on both sides as value × set
+    count tables, aligned on the union of values in CDF order (ascending
     numeric, else lexicographic). ``None`` when a side has no value."""
     if counts_in is None or counts_out is None:
         return None
@@ -239,37 +233,45 @@ def aligned_pivots(
 
 
 def ks_scores_bulk(
-    d_in: DataFrame,
     d_out: DataFrame,
-    columns: list[str],
+    comparisons: Sequence[tuple[DataFrame, Sequence[str], Mapping[str, tuple[float, float]]]],
     *,
     max_distinct: int = 2000,
-    profile: InputProfile | None = None,
-) -> dict[str, float]:
-    """KS of every column of ``columns`` present on both sides, in a
-    constant number of Spark jobs: one :func:`melted_counts` aggregate per
-    side, numeric and categorical columns together, and one more on the
-    output when a column is binned, by the rule phase 2 uses, on
-    ``profile`` (that of the input ``d_in`` samples; ``d_in``'s own by
-    default). The driver-side KS combine is O(distinct values). A column
-    with no value on a side scores 0.0.
+) -> list[dict[str, float]]:
+    """KS against ``d_out`` of the columns of every ``(d_in, columns,
+    edges)`` comparison present on both sides, from one
+    :func:`melted_counts` aggregate: each input melts its own columns, and
+    the output one element per (column, edges) pair some comparison uses;
+    columns in ``edges`` (:func:`bin_edges`) are binned. The driver-side KS
+    combine is O(distinct values). Returns one ``{column: KS}`` per
+    comparison; a column with no value on a side scores 0.0.
     """
-    cols = [c for c in columns if c in d_in.columns and c in d_out.columns]
-    if not cols:
-        return {}
-    numeric = [c for c in cols if is_numeric(d_in, c) and is_numeric(d_out, c)]
-    _, _, edges = side_aggregates(
-        profile or input_profile(d_in), d_in, d_out, numeric, max_distinct
+    elements: dict[tuple, tuple[int, Column]] = {}  # (c, numeric, edge) -> (j, elem)
+    plan: list[tuple[int, str, int, bool]] = []  # (side, column, j, numeric)
+    in_elems: list[list[Column]] = []
+    for s, (d_in, columns, edges) in enumerate(comparisons, start=1):
+        elems = []
+        for c in columns:
+            if c not in d_in.columns or c not in d_out.columns:
+                continue
+            num = is_numeric(d_in, c) and is_numeric(d_out, c)
+            key = (c, num, edges.get(c) if num else None)
+            if key not in elements:
+                j = len(elements)
+                value = binned(c, key[2], max_distinct)
+                elements[key] = (j, melt_element(j, value, num, F.lit(IGNORE_PID)))
+            j, elem = elements[key]
+            elems.append(elem)
+            plan.append((s, c, j, num))
+        in_elems.append(elems)
+    out_elems = [elem for _, elem in elements.values()]
+    counts = melted_counts(
+        [(d_out, out_elems)] + [(d_in, e) for (d_in, _, _), e in zip(comparisons, in_elems)]
     )
-    pairs = [(F.lit(IGNORE_PID), c) for c in cols]
-    counts_in, counts_out = (
-        melted_counts(df, pairs, set(numeric), edges, max_distinct)
-        for df in (d_in, d_out)
-    )
-    scores: dict[str, float] = {}
-    for j, c in enumerate(cols):
-        piv = aligned_pivots(counts_in.get(j), counts_out.get(j), c in numeric)
-        scores[c] = (
+    scores: list[dict[str, float]] = [{} for _ in comparisons]
+    for s, c, j, num in plan:
+        piv = aligned_pivots(counts.get((s, j)), counts.get((0, j)), num)
+        scores[s - 1][c] = (
             0.0
             if piv is None
             else reference.ks_from_counts(*(p.to_numpy(float).sum(axis=1) for p in piv))
@@ -287,6 +289,18 @@ def _sample_cap(df: DataFrame, sample_size: int | None, seed: int, rows=None) ->
     if n <= sample_size:
         return df
     return df.sample(fraction=min(1.0, sample_size / n * 1.05), seed=seed)
+
+
+def _output_sample(step: Step, sample_size: int | None, seed: int) -> DataFrame:
+    """:func:`_sample_cap` of ``step``'s output. A filter, group-by or
+    union output has at most as many rows as its inputs together (read
+    from their profiles); when those are at most ``sample_size``, the
+    output is kept whole without being counted. A join's is counted."""
+    rows = None
+    if sample_size is not None and not isinstance(step, JoinStep):
+        bound = sum(input_profile(df).rows for df in step.inputs.values())
+        rows = bound if bound <= sample_size else None
+    return _sample_cap(step.output(), sample_size, seed, rows)
 
 
 def scoreable_columns(step: Step) -> list[str]:
@@ -330,43 +344,25 @@ def step_interestingness(
     if isinstance(step, GroupByStep):
         # One row per group: collected once, as phase 2 collects its
         # per-(group, set) partials.
-        out = _sample_cap(step.output(), sample_size, seed).select(*cols).toPandas()
+        out = _output_sample(step, sample_size, seed).select(*cols).toPandas()
         return {c: reference.cv(out[c]) for c in cols}
 
-    scores: dict[str, float] = {}
-    d_out = _sample_cap(step.output(), sample_size, seed).persist()
-    profiles = {name: input_profile(df) for name, df in step.inputs.items()}
-    sampled_inputs = {
-        name: _sample_cap(df, sample_size, seed + 1 + i, profiles[name].rows).persist()
-        for i, (name, df) in enumerate(step.inputs.items())
-    }
-    try:
-        # One bulk KS pass per input side (constant Spark jobs per side);
-        # a column is scored against the side that owns it — §3.2's d'_in
-        # for joins (only join keys appear on both sides, first side
-        # wins) — and against every side for unions (max).
-        per_side: dict[str, dict[str, float]] = {}
-        owner: dict[str, str] = {}
-        for name, df in sampled_inputs.items():
-            side_cols = [
-                c
-                for c in cols
-                if c in df.columns
-                and (isinstance(step, UnionStep) or c not in owner)
-            ]
-            for c in side_cols:
-                owner.setdefault(c, name)
-            per_side[name] = ks_scores_bulk(
-                df, d_out, side_cols, max_distinct=max_distinct, profile=profiles[name]
-            )
-        for c in cols:
-            if isinstance(step, UnionStep):
-                vals = [s[c] for s in per_side.values() if c in s]
-                scores[c] = max(vals) if vals else 0.0
-            else:
-                scores[c] = per_side.get(owner.get(c, ""), {}).get(c, 0.0)
-    finally:
-        d_out.unpersist()
-        for df in sampled_inputs.values():
-            df.unpersist()
-    return scores
+    # One KS comparison per input side, all in one aggregate that reads
+    # every side once, so nothing is persisted; a column is scored against
+    # the side that owns it — §3.2's d'_in for joins (only join keys
+    # appear on both sides, first side wins) — and against every side for
+    # unions (max).
+    d_out = _output_sample(step, sample_size, seed)
+    comparisons = []
+    taken: set[str] = set()
+    for i, df in enumerate(step.inputs.values()):
+        side_cols = [
+            c
+            for c in cols
+            if c in df.columns and (isinstance(step, UnionStep) or c not in taken)
+        ]
+        taken.update(side_cols)
+        sample = _sample_cap(df, sample_size, seed + 1 + i, input_profile(df).rows)
+        comparisons.append((sample, side_cols, bin_edges(step, df, side_cols, max_distinct)))
+    per_side = ks_scores_bulk(d_out, comparisons, max_distinct=max_distinct)
+    return {c: max((s[c] for s in per_side if c in s), default=0.0) for c in cols}

@@ -3,7 +3,8 @@
 A candidate ``(R, A)`` is *dominated* if some other candidate is strictly
 better in **both** interestingness ``I_A(Q)`` and standardized
 contribution ``C̄(R, A)``. The skyline is the set of non-dominated
-candidates; a weighted score then ranks them (§3.7's optional top-k).
+candidates. ``Fedex.explain`` orders them by I, then C̄; §3.7's weighted
+score is reported on each explanation but orders nothing.
 """
 from __future__ import annotations
 

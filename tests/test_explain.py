@@ -14,9 +14,10 @@ import pytest
 from pyspark.sql.group import GroupedData
 
 from repro.core import interestingness
-from repro.core.contribution import naive_contribution
+from repro.core.contribution import exceptionality_contributions_multi, naive_contribution
 from repro.core.explain import Explanation, Fedex, FedexConfig
-from repro.core.model import Aggregation, FilterStep, GroupByStep, JoinStep
+from repro.core.model import Aggregation, FilterStep, GroupByStep, JoinStep, UnionStep
+from repro.core.partition import partitions_for_attribute
 from repro.datasets.bank import bank_pdf
 from repro.datasets.products import prefixed, prefixed_pdf, products_pdf, sales_pdf
 from repro.datasets.spotify import spotify_pdf
@@ -95,6 +96,30 @@ def _spark_jobs(spark, fn) -> int:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
     return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def _actions(spark, fn) -> list[str]:
+    """The DataFrame actions ``fn()`` calls, outermost only."""
+    cls = type(spark.range(1))  # the session's concrete DataFrame class
+    actions, depth = [], [0]
+
+    def logged(name, action):
+        def wrapper(self, *args, **kwargs):
+            if not depth[0]:
+                actions.append(name)
+            depth[0] += 1
+            try:
+                return action(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("toPandas", "collect", "count", "approxQuantile", "first", "take"):
+            m.setattr(cls, name, logged(name, getattr(cls, name)))
+        fn()
+    return actions
 
 
 class TestFilterExplanation:
@@ -287,6 +312,19 @@ class TestPhase2JobBudget:
         assert jobs_three == jobs_one
         assert jobs_two_sizes == jobs_three
 
+    def test_one_aggregate_beyond_annotation(self, spark, spotify_df):
+        # The exceptionality engine's only Spark action is one aggregate
+        # over both annotated sides: the KS counts and the set shares.
+        step = self._step(spotify_df)
+        partitions = partitions_for_attribute(step.d_in, ["loudness", "genre"], (5, 10))
+        groups = [(p, [p.attr]) for p in partitions]
+        results = []
+        actions = _actions(
+            spark, lambda: results.extend(exceptionality_contributions_multi(step, groups))
+        )
+        assert actions == ["toPandas"]
+        assert {res.column for res in results} == {"loudness", "genre"}
+
     def test_constant_whether_columns_are_binned(self, spark, spotify_df):
         # The bin decisions ride on the profile and the output's share
         # aggregate.
@@ -330,10 +368,10 @@ class TestPhase1JobBudget:
         assert jobs_numeric > 0
         assert self._jobs(spark, mixed, step()) == jobs_numeric
 
-    def test_output_aggregated_only_for_binned_ranges(self, spark, spotify_df):
+    def test_binning_adds_no_aggregate(self, spark, spotify_df):
         # One profile aggregate per input, computed on the input's first
-        # step only; the output is aggregated only for the ranges of
-        # binned columns; categorical columns need nothing besides the
+        # step only; the bin edges come from the profile, so binning adds
+        # no aggregate; categorical columns need nothing besides the
         # counts and the profile.
         def jobs(columns, max_distinct, df):
             fx = Fedex(FedexConfig(columns=columns, max_distinct=max_distinct))
@@ -350,8 +388,29 @@ class TestPhase1JobBudget:
         )
         assert profile > 0
         assert first - unbinned == profile
-        assert binned - unbinned == profile  # one aggregate, on the output
+        assert binned == unbinned
         assert categorical == first
+
+    def test_union_inputs_share_one_aggregate(self, spark, spotify_df):
+        # Every input side and the output are counted in one aggregate,
+        # so a third input adds no job once its profile is computed.
+        dfs = [spotify_df.select("*") for _ in range(3)]
+        for df in dfs:
+            interestingness.input_profile(df)
+        fx = Fedex(FedexConfig(columns=["loudness", "genre"]))
+        two = self._jobs(spark, fx, UnionStep(dfs[:2]))
+        three = self._jobs(spark, fx, UnionStep(dfs))
+        assert two > 0
+        assert three == two
+
+    def test_output_not_counted_below_sample_size(self, spark, spotify_df):
+        # A filter output has at most its input's rows: with the input at
+        # most sample_size rows, the only Spark action is the KS melt.
+        df = spotify_df.select("*")
+        rows = interestingness.input_profile(df).rows
+        fx = Fedex(FedexConfig(columns=["loudness", "genre"], sample_size=rows))
+        step = FilterStep(df, "popularity > 65")
+        assert _actions(spark, lambda: fx.interesting_columns(step)) == ["toPandas"]
 
 
 class TestInputProfileReuse:
@@ -402,6 +461,48 @@ class TestInputProfileReuse:
         again = _spark_jobs(spark, lambda: fx.explain(BY_NUM[27].build(fresh)))
         assert log.computed == [bank, fresh.spark_tables["bank"]]
         assert first == again > same
+
+
+class TestDegenerateShares:
+    """Filters that keep no row, every row, or no row of one set: the
+    set shares ride on the KS aggregate and stay defined."""
+
+    @pytest.fixture(scope="class")
+    def df(self, spark):
+        n = np.arange(200)
+        pdf = pd.DataFrame({"x": n, "g": n % 4, "h": (n % 4).astype(str), "v": n % 7})
+        return spark.createDataFrame(pdf)
+
+    @staticmethod
+    def _results(step):
+        return Fedex(FedexConfig(n_sets=(5,))).contribution_results(step, ["h", "v"])
+
+    def test_filter_keeping_no_rows(self, df):
+        # No value on the output: no KS to take apart, no explanation.
+        step = FilterStep(df, "x < 0")
+        assert self._results(step) == []
+        assert Fedex().explain(step) == []
+
+    def test_filter_keeping_every_row(self, df):
+        step = FilterStep(df, "x >= 0")
+        results = self._results(step)
+        assert {res.column for _, res in results} == {"h", "v"}
+        for _, res in results:
+            assert set(res.stats) == set(res.partition.set_ids)
+            assert [st["share_in"] for st in res.stats.values()] == [
+                st["share_out"] for st in res.stats.values()
+            ]
+            assert sum(st["share_in"] for st in res.stats.values()) > 0
+            assert all(c == 0.0 for c in res.contributions.values())
+        assert Fedex().explain(step) == []
+
+    def test_set_missing_from_output_has_share_out_zero(self, df):
+        results = self._results(FilterStep(df, "g > 0"))
+        (res,) = [r for _, r in results if r.column == "h" and r.partition.method == "frequency"]
+        gone = next(i for i, label in res.partition.labels.items() if label == "0")
+        assert res.stats[gone] == {"share_in": 0.25, "share_out": 0.0}
+        kept = [st["share_out"] for i, st in res.stats.items() if i != gone]
+        assert kept == pytest.approx([1 / 3] * 3)
 
 
 class TestNonFiniteValues:

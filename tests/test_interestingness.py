@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core import reference
+from repro.core import contribution, interestingness, reference
 from repro.core.contribution import exceptionality_contributions_multi
 from repro.core.interestingness import (
+    bin_edges,
     input_profile,
     is_numeric,
     ks_scores_bulk,
@@ -20,7 +21,7 @@ from repro.core.interestingness import (
     step_interestingness,
 )
 from repro.core.partition import partitions_for_attribute
-from repro.core.model import Aggregation, FilterStep, GroupByStep, JoinStep, UnionStep
+from repro.core.model import PID, Aggregation, FilterStep, GroupByStep, JoinStep, UnionStep
 from repro.oracle import assert_equivalent
 
 
@@ -28,9 +29,17 @@ def _df(spark, pdf):
     return spark.createDataFrame(pdf)
 
 
+def _ks_scores(din, dout, max_distinct=2000):
+    """Phase 1's KS of column ``x`` between any two DataFrames, binned on
+    the edges of a union of both: the span of both sides' ranges."""
+    edges = bin_edges(UnionStep([din, dout]), din, ["x"], max_distinct)
+    (scores,) = ks_scores_bulk(dout, [(din, ["x"], edges)], max_distinct=max_distinct)
+    return scores
+
+
 def _ks(din, dout, **kw):
     """Phase 1's KS of column ``x``."""
-    return ks_scores_bulk(din, dout, ["x"], **kw)["x"]
+    return _ks_scores(din, dout, **kw)["x"]
 
 
 def _cv(spark, vals):
@@ -165,7 +174,7 @@ class TestSparkKS:
         din = _df(spark, pd.DataFrame({"x": [1, 2]}))
         dout = _df(spark, pd.DataFrame({"y": [1, 2]}))
         # No score: step_interestingness reads a missing score as 0.0.
-        assert ks_scores_bulk(din, dout, ["x"]) == {}
+        assert _ks_scores(din, dout) == {}
 
     def test_binning_approximates_high_cardinality(self, spark):
         g = np.random.default_rng(1)
@@ -296,6 +305,47 @@ class TestBinRule:
         n = 11 if math.isnan(extra) else 12
         for score in self._scores(spark, values):
             assert score == pytest.approx(1 - 1 / n)
+
+    def test_union_edges_span_every_input(self, spark, monkeypatch):
+        # The second input extends x past the partitioned input's range:
+        # both phases bin on the span of both profiles, and every set's C
+        # equals a re-run of the union binned on that span.
+        g = np.random.default_rng(8)
+        a, b = g.normal(0, 1, 300).round(3), g.normal(4, 1, 200).round(3)
+        d0, d1 = (_df(spark, pd.DataFrame({"x": v})) for v in (a, b))
+        step, md = UnionStep([d0, d1]), 20
+        lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
+        assert b.max() > a.max()
+        edges = []
+        real = interestingness.binned
+        for module in (interestingness, contribution):
+            monkeypatch.setattr(
+                module, "binned", lambda attr, edge, m: edges.append(edge) or real(attr, edge, m)
+            )
+
+        def bins(v):
+            return np.minimum(np.floor((np.asarray(v) - lo) / ((hi - lo) / md)), md - 1)
+
+        def ks(d_in, others):
+            return reference.ks_2samp(bins(d_in), bins(np.concatenate([d_in, others])))
+
+        phase1 = step_interestingness(step, columns=["x"], max_distinct=md)["x"]
+        assert edges == [(lo, hi)]
+        assert phase1 == pytest.approx(max(ks(a, b), ks(b, a)), abs=1e-9)
+
+        edges.clear()
+        partitions = partitions_for_attribute(d0, ["x"], (5,))
+        results = exceptionality_contributions_multi(
+            step, [(p, ["x"]) for p in partitions], max_distinct=md
+        )
+        assert edges == [(lo, hi)] * len(partitions) and results
+        for res in results:
+            pdf = res.partition.df.toPandas()
+            full = ks(a, b)
+            assert res.score_full == pytest.approx(full, abs=1e-9)
+            for i in res.partition.set_ids:
+                kept = pdf.loc[pdf[PID] != i, "x"].to_numpy()
+                assert res.contributions[i] == pytest.approx(full - ks(kept, b), abs=1e-9)
 
 
 # ---------------------------------------------------------------- Spark CV
