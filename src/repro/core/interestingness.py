@@ -293,12 +293,17 @@ def _sample_cap(df: DataFrame, sample_size: int | None, seed: int, rows=None) ->
 
 def _output_sample(step: Step, sample_size: int | None, seed: int) -> DataFrame:
     """:func:`_sample_cap` of ``step``'s output. A filter, group-by or
-    union output has at most as many rows as its inputs together (read
-    from their profiles); when those are at most ``sample_size``, the
-    output is kept whole without being counted. A join's is counted."""
+    union output has at most as many rows as its inputs together, and a
+    group-by output at most one per combination of its keys' values,
+    null included (all read from the profiles); when that bound is at
+    most ``sample_size``, the output is kept whole without being counted.
+    A join's is counted."""
     rows = None
     if sample_size is not None and not isinstance(step, JoinStep):
         bound = sum(input_profile(df).rows for df in step.inputs.values())
+        if isinstance(step, GroupByStep):
+            distinct = input_profile(step.d_in).distinct
+            bound = min(bound, math.prod(distinct[k] + 1 for k in step.keys))
         rows = bound if bound <= sample_size else None
     return _sample_cap(step.output(), sample_size, seed, rows)
 

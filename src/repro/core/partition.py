@@ -16,18 +16,31 @@ Three methods, as in the paper:
   frequency-partition on B (Ex. 3.9: 'year' → 'decade').
 
 All three read one :class:`PartitionStats`, which :func:`partition_stats`
-computes for *every* attribute partitioned on one input in a fixed budget
-of three Spark actions, whatever the number of attributes or set counts,
-plus the input's memoized :func:`~repro.core.interestingness.input_profile`
-(distinct counts and ranges) when no earlier step or phase computed it:
+computes for *every* attribute partitioned on one input, whatever the
+number of attributes or set counts, from the input's memoized
+:func:`~repro.core.interestingness.input_profile` (distinct counts and
+ranges; one aggregate when no earlier step or phase computed it) and at
+most two Spark actions:
 
 1. one multi-column ``approxQuantile`` for every numeric attribute and
    set count;
-2. one functional-dependency scan over the input exploded to one row per
-   (attribute, value);
-3. one top-n over the exploded (attribute, value) counts, ranked by a
-   window ordered by (count desc, typed value asc), for the attributes and
-   their many-to-one targets.
+2. one value scan (:func:`value_scan`) of the input exploded to one row
+   per (attribute, value): every value's count and, for every
+   many-to-one candidate the profile still allows, whether the candidate
+   is constant in that value's rows; a window per attribute ranks the
+   values (count desc, typed value asc) and takes each candidate's
+   worst case, and only the top ``max(n_sets)`` values are collected.
+   Many-to-one targets outside the requested attributes get their top
+   values from one more scan with no candidates, run only when there are
+   such targets whose values are not yet known.
+
+The statistics are memoized per DataFrame object in a weak-keyed memo,
+with the same validity as the profile's (a DataFrame is an immutable
+plan): quantiles per (attribute, n), top values per column, FD targets
+per (attribute, candidates, cap). A call scans only what it misses, so a
+step over attributes an earlier step partitioned on the same DataFrame
+runs no Spark job. The memo holds plain Python values only: a DataFrame
+or Column in it would keep its weak key alive.
 
 :func:`partitions_for_attribute` builds all partitions of the requested
 attributes and set counts from these statistics; it is called once per
@@ -36,11 +49,11 @@ partitioned input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from repro.core.interestingness import input_profile, is_numeric, present
 from repro.core.model import IGNORE_PID, PID
@@ -130,53 +143,69 @@ def _melt_values(df: DataFrame, cols: list[str], *keep: str) -> DataFrame:
     )
 
 
-def _top_values(df: DataFrame, cols: list[str], n: int) -> dict[str, list]:
+def value_scan(
+    df: DataFrame, cols: list[str], candidates: list[str], n: int
+) -> tuple[dict[str, list], dict[str, dict[str, int]]]:
     """The ``n`` most frequent present values of every column in ``cols``
-    (ties broken by value ascending, for determinism), in one Spark query."""
+    (ties broken by value ascending, for determinism) and, for every such
+    column A and every column c of ``candidates``, the FD code: ``max
+    over A-values of`` 0 if c is all null in that value's rows, 1 if its
+    min equals its max, else 2 (c's distinct count capped at 2).
+
+    One Spark query: a ``groupBy(column, typed value)`` of the melted
+    input with each value's count and codes, then one window per column
+    that ranks its values and takes each code's maximum. Rows whose A is
+    null or NaN are not part of A's values."""
     if not cols:
-        return {}
+        return {}, {}
     slots = [f"__v{i}" for i in range(len(cols))]
-    w = Window.partitionBy("__k").orderBy(
-        F.desc("__cnt"), *[F.asc(s) for s in slots]
-    )
+    codes = [f"__c{i}" for i in range(len(candidates))]
+    per_value = [
+        F.when(F.min(c).isNull(), 0).when(F.min(c) == F.max(c), 1).otherwise(2).alias(code)
+        for c, code in zip(candidates, codes)
+    ]
+    rank = Window.partitionBy("__k").orderBy(F.desc("__cnt"), *[F.asc(s) for s in slots])
+    whole = rank.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
     rows = (
-        _melt_values(df, cols)
+        _melt_values(df, cols, *candidates)
         .groupBy("__k", *slots)
-        .agg(F.count(F.lit(1)).alias("__cnt"))
-        .withColumn("__rank", F.row_number().over(w))
+        .agg(F.count(F.lit(1)).alias("__cnt"), *per_value)
+        .select(
+            "__k",
+            *slots,
+            F.row_number().over(rank).alias("__rank"),
+            *[F.max(code).over(whole).alias(code) for code in codes],
+        )
         .where(F.col("__rank") <= n)
         .collect()
     )
     top: dict[str, list] = {c: [] for c in cols}
+    fd_codes: dict[str, dict[str, int]] = {c: {} for c in cols}
     for r in sorted(rows, key=lambda r: (r["__k"], r["__rank"])):
-        top[cols[r["__k"]]].append(r[f"__v{r['__k']}"])
-    return top
+        col = cols[r["__k"]]
+        top[col].append(r[slots[r["__k"]]])
+        fd_codes[col] = {c: r[code] for c, code in zip(candidates, codes)}
+    return top, fd_codes
 
 
-def _max_distinct_per_value(
-    df: DataFrame, attrs: list[str], cols: list[str]
-) -> dict[str, dict[str, int | None]]:
-    """For every attribute A and column c: ``max over A-values of`` 0 if c
-    is all null, 1 if its min equals its max, else 2 (c's distinct count
-    capped at 2) — the FD consistency check, one exploded scan for all
-    attributes. Rows whose A is null or NaN are not part of A's groups."""
-    slots = [f"__v{i}" for i in range(len(attrs))]
-    per_group = [
-        F.when(F.min(c).isNull(), 0).when(F.min(c) == F.max(c), 1).otherwise(2).alias(c)
-        for c in cols
-    ]
-    rows = (
-        _melt_values(df, attrs, *cols)
-        .groupBy("__k", *slots)
-        .agg(*per_group)
-        .groupBy("__k")
-        .agg(*[F.max(c).alias(c) for c in cols])
-        .collect()
-    )
-    out: dict[str, dict[str, int | None]] = {a: {} for a in attrs}
-    for r in rows:
-        out[attrs[r["__k"]]] = {c: r[c] for c in cols}
-    return out
+@dataclass
+class _Memo:
+    """The statistics computed so far on one DataFrame: plain values only,
+    nothing that refers back to the DataFrame (module docstring)."""
+
+    quantiles: dict[tuple[str, int], list[float]] = field(default_factory=dict)
+    top: dict[str, tuple[int, list]] = field(default_factory=dict)  # col -> (n, values)
+    # (attr, (candidates, cap)) -> targets
+    fd: dict[tuple[str, tuple], list[str]] = field(default_factory=dict)
+
+    def top_values(self, col: str, n: int) -> list | None:
+        """``col``'s ``n`` most frequent values, if known: a prefix of a
+        longer top list, or every value of a column with fewer."""
+        known, values = self.top.get(col, (0, []))
+        return values[:n] if n <= known or len(values) < known else None
+
+
+_MEMO: weakref.WeakKeyDictionary[DataFrame, _Memo] = weakref.WeakKeyDictionary()
 
 
 def partition_stats(
@@ -187,8 +216,10 @@ def partition_stats(
     many_to_one_candidates: list[str] | None = None,
     max_m2o_targets: int = 2,
 ) -> PartitionStats:
-    """The statistics every partition of ``attrs`` over ``d_in`` needs, in
-    at most three Spark actions and the input's profile (module docstring).
+    """The statistics every partition of ``attrs`` over ``d_in`` needs:
+    the input's profile, at most one ``approxQuantile`` and two value
+    scans, and no Spark job for what the memo already holds (module
+    docstring).
 
     Many-to-one targets of attribute A are the candidate columns B (all
     other columns by default) with a strictly coarser functional
@@ -201,48 +232,58 @@ def partition_stats(
     attrs = list(dict.fromkeys(attrs))
     if many_to_one_candidates is None:
         many_to_one_candidates = d_in.columns
-    candidates = [c for c in many_to_one_candidates if c != PID]
-    numeric = [a for a in attrs if is_numeric(d_in, a)]
+    candidates = tuple(c for c in many_to_one_candidates if c != PID)
     profile = input_profile(d_in)
-    # Nulls and NaNs are left out of each numeric attribute's range and
-    # quantiles, as ``na.drop`` on that attribute alone would.
-    kept = {a: F.when(present(d_in, a), F.col(a)) for a in numeric}
+    memo = _MEMO.setdefault(d_in, _Memo())
+    n_top = max(n_sets)
 
-    quantiles: dict[str, dict[int, list[float]]] = {}
-    if numeric:
+    numeric = [a for a in attrs if is_numeric(d_in, a)]
+    missing = [(a, n) for a in numeric for n in n_sets if (a, n) not in memo.quantiles]
+    if missing:
+        q_attrs = list(dict.fromkeys(a for a, _ in missing))
         probs, spans = [], {}
-        for n in sorted(set(n_sets)):
+        for n in sorted({n for _, n in missing}):
             grid = [i / n for i in range(1, n)]
             spans[n] = (len(probs), len(probs) + len(grid))
             probs.extend(grid)
-        qss = d_in.select(*[v.alias(a) for a, v in kept.items()]).approxQuantile(
-            numeric, probs, 1e-3
-        )
-        for a, qs in zip(numeric, qss):
-            if qs:
-                quantiles[a] = {n: qs[lo:hi] for n, (lo, hi) in spans.items()}
+        # Nulls and NaNs are left out of each numeric attribute's range and
+        # quantiles, as ``na.drop`` on that attribute alone would.
+        kept = [F.when(present(d_in, a), F.col(a)).alias(a) for a in q_attrs]
+        qss = d_in.select(*kept).approxQuantile(q_attrs, probs, 1e-3)
+        for a, qs in zip(q_attrs, qss):
+            for n, (lo, hi) in spans.items():
+                memo.quantiles.setdefault((a, n), qs[lo:hi])
 
-    fd: dict[str, list[str]] = {}
-    if candidates:
-        per_value = _max_distinct_per_value(d_in, attrs, candidates)
-        for a in attrs:
-            targets = [
-                c
-                for c in candidates
-                if c != a
-                and per_value[a].get(c) == 1
-                and 0 < profile.distinct[c] < profile.distinct[a]
-            ]
-            fd[a] = sorted(targets, key=lambda c: profile.distinct[c])[:max_m2o_targets]
+    # B can be A's target only if it has some values, fewer than A: the
+    # scan carries no other candidate.
+    allowed = {
+        a: [c for c in candidates if c != a and 0 < profile.distinct[c] < profile.distinct[a]]
+        for a in attrs
+    }
+    asked = (candidates, max_m2o_targets)
+    need_fd = [a for a in attrs if (a, asked) not in memo.fd]
+    batch = [a for a in attrs if a in need_fd or memo.top_values(a, n_top) is None]
+    carried = list(dict.fromkeys(c for a in need_fd for c in allowed[a]))
+    top, codes = value_scan(d_in, batch, carried, n_top)
+    for a in need_fd:
+        targets = [c for c in allowed[a] if codes[a].get(c) == 1]
+        memo.fd[a, asked] = sorted(targets, key=lambda c: profile.distinct[c])[:max_m2o_targets]
+    fd = {a: memo.fd[a, asked] for a in attrs}
+    top_cols = list(dict.fromkeys(attrs + [b for a in attrs for b in fd[a]]))
+    # FD targets outside the batch whose top values are not yet known.
+    rest = [b for b in top_cols if b not in top and memo.top_values(b, n_top) is None]
+    top.update(value_scan(d_in, rest, [], n_top)[0])
+    for c, values in top.items():
+        if memo.top_values(c, n_top) is None:
+            memo.top[c] = (n_top, values)
 
-    top_cols = list(dict.fromkeys(attrs + [b for a in attrs for b in fd.get(a, [])]))
     return PartitionStats(
         d_in=d_in,
         lo={a: profile.lo[a] for a in numeric},
         hi={a: profile.hi[a] for a in numeric},
-        quantiles=quantiles,
+        quantiles={a: {n: memo.quantiles[a, n] for n in n_sets} for a in numeric},
         fd=fd,
-        top=_top_values(d_in, top_cols, max(n_sets)),
+        top={c: memo.top_values(c, n_top) for c in top_cols},
     )
 
 
@@ -306,17 +347,12 @@ def numeric_partition(stats: PartitionStats, attr: str, n: int) -> Partition | N
     )
 
 
-def find_many_to_one(stats: PartitionStats, attr: str) -> list[str]:
-    """Attributes B with a strictly-coarser functional dependency A→B,
-    coarsest first, at most ``max_m2o_targets`` (see :func:`partition_stats`)."""
-    return stats.fd.get(attr, [])
-
-
 def many_to_one_partitions(stats: PartitionStats, attr: str, n: int) -> list[Partition]:
     """Many-to-one partitions for ``attr`` (§3.5): frequency-partition on
-    each FD target B of :func:`find_many_to_one`, labeled by B's values."""
+    each of ``attr``'s FD targets B (:func:`partition_stats`), labeled by
+    B's values."""
     out: list[Partition] = []
-    for b in find_many_to_one(stats, attr):
+    for b in stats.fd[attr]:
         p = frequency_partition(stats, b, n)
         if p is not None:
             out.append(

@@ -13,11 +13,12 @@ import pandas as pd
 import pytest
 from pyspark.sql.group import GroupedData
 
+from repro.core import explain as explain_module
 from repro.core import interestingness
 from repro.core.contribution import exceptionality_contributions_multi, naive_contribution
 from repro.core.explain import Explanation, Fedex, FedexConfig
 from repro.core.model import Aggregation, FilterStep, GroupByStep, JoinStep, UnionStep
-from repro.core.partition import partitions_for_attribute
+from repro.core.partition import partition_stats, partitions_for_attribute
 from repro.datasets.bank import bank_pdf
 from repro.datasets.products import prefixed, prefixed_pdf, products_pdf, sales_pdf
 from repro.datasets.spotify import spotify_pdf
@@ -411,6 +412,98 @@ class TestPhase1JobBudget:
         fx = Fedex(FedexConfig(columns=["loudness", "genre"], sample_size=rows))
         step = FilterStep(df, "popularity > 65")
         assert _actions(spark, lambda: fx.interesting_columns(step)) == ["toPandas"]
+
+    def test_groupby_output_not_counted_with_few_groups(self, spark, spotify_df):
+        # A group-by output has at most one row per combination of its
+        # keys' values (null included): with that bound at most
+        # sample_size, a larger input's output is not counted.
+        df = spotify_df.select("*")
+        profile = interestingness.input_profile(df)
+        groups = (profile.distinct["genre"] + 1) * (profile.distinct["mode"] + 1)
+        assert profile.rows > groups
+        step = GroupByStep(
+            df, ["genre", "mode"], [Aggregation("mean", c, c) for c in ("loudness", "tempo")]
+        )
+        fx = Fedex(FedexConfig(sample_size=groups))
+        assert _actions(spark, lambda: fx.interesting_columns(step)) == ["toPandas"]
+        assert fx.interesting_columns(step) == Fedex().interesting_columns(step)
+
+
+class TestPartitionStatsReuse:
+    """A step over attributes an earlier step partitioned on the same
+    DataFrame builds its partitions without a Spark job, and explains
+    as on a new DataFrame."""
+
+    def test_q28_after_q27_runs_no_partition_job(self, spark, small_bank, monkeypatch):
+        bank = small_bank.spark_tables["bank"].select("*")
+        bundle = DatasetBundle("bank", {"bank": bank}, small_bank.pandas_tables)
+        fx = Fedex(FedexConfig(sample_size=5000, top_k_explanations=2))
+        jobs = []
+        build = partitions_for_attribute
+
+        def counted(*args, **kwargs):
+            out = []
+            jobs.append(_spark_jobs(spark, lambda: out.extend(build(*args, **kwargs))))
+            return out
+
+        monkeypatch.setattr(explain_module, "partitions_for_attribute", counted)
+        fx.explain(BY_NUM[27].build(bundle))
+        assert jobs[-1] > 0
+        after_q27 = fx.explain(BY_NUM[28].build(bundle))
+        assert jobs[-1] == 0
+        fresh = fx.explain(BY_NUM[28].build(_fresh(spark, small_bank)))
+        assert jobs[-1] > 0
+        assert after_q27
+        assert [e.candidate_id for e in after_q27] == [e.candidate_id for e in fresh]
+        assert [e.caption for e in after_q27] == [e.caption for e in fresh]
+        for a, b in zip(after_q27, fresh):
+            assert (a.interestingness, a.contribution, a.std_contribution) == pytest.approx(
+                (b.interestingness, b.contribution, b.std_contribution), abs=1e-9
+            )
+
+
+class TestCrossPartitions:
+    """``cross_partitions=True`` partitions every input attribute for
+    every scored column (Def. 3.5's full space) in one statistics batch."""
+
+    @staticmethod
+    def _step(df):
+        return BY_NUM[11].build(DatasetBundle("bank", {"bank": df}, {}))
+
+    def test_every_attribute_partitioned_as_alone(self, spark, small_bank, monkeypatch):
+        df = small_bank.spark_tables["bank"].select("*")
+        step = self._step(df)
+        fx = Fedex(FedexConfig(cross_partitions=True, n_sets=(5,)))
+        calls = []
+        build = partitions_for_attribute
+        monkeypatch.setattr(
+            explain_module,
+            "partitions_for_attribute",
+            lambda d, attrs, *a, **k: calls.append(attrs) or build(d, attrs, *a, **k),
+        )
+        results = fx.contribution_results(step, ["Customer_Age", "Gender"])
+        assert calls == [df.columns]
+        assert {res.column for _, res in results} == {"Customer_Age", "Gender"}
+        batched = partition_stats(df, df.columns, (5,))
+        for a in df.columns:
+            single = partition_stats(df.select("*"), [a], (5,))
+            assert batched.top[a] == single.top[a], a
+            assert batched.fd[a] == single.fd[a], a
+            assert batched.quantiles.get(a) == single.quantiles.get(a), a
+            assert (batched.lo.get(a), batched.hi.get(a)) == (single.lo.get(a), single.hi.get(a)), a
+
+    def test_jobs_constant_in_attributes(self, spark, small_bank):
+        bank = small_bank.spark_tables["bank"]
+        few = ["Attrition_Flag", "Customer_Age", "Gender", "Marital_Status"]
+
+        def jobs(columns):
+            df = bank.select(*columns)
+            interestingness.input_profile(df)
+            fx = Fedex(FedexConfig(cross_partitions=True, n_sets=(5,)))
+            return _spark_jobs(spark, lambda: fx.contribution_results(self._step(df), ["Customer_Age"]))
+
+        assert jobs(few) > 0
+        assert jobs(bank.columns) == jobs(few)
 
 
 class TestInputProfileReuse:

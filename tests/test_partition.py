@@ -1,20 +1,27 @@
 """Unit tests for the row-partition methods (paper §3.5, Def. 3.8)."""
+import datetime as dt
+import gc
+import weakref
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.interestingness import present
+from repro.core import partition
+from repro.core.interestingness import input_profile, present
 from repro.core.model import IGNORE_PID, PID
 from repro.core.partition import (
-    _max_distinct_per_value,
-    find_many_to_one,
+    PartitionStats,
     frequency_partition,
     many_to_one_partitions,
     numeric_partition,
     partition_stats,
     partitions_for_attribute,
+    value_scan,
 )
+from tests.test_explain import _actions, _spark_jobs
 
 
 @pytest.fixture(scope="module")
@@ -147,20 +154,20 @@ class TestNumericPartition:
 
 class TestManyToOne:
     def test_detects_year_decade(self, songs):
-        assert "decade" in find_many_to_one(_stats(songs, "year"), "year")
+        assert "decade" in _stats(songs, "year").fd["year"]
 
     def test_rejects_inconsistent_mapping(self, songs):
         # loudness is (nearly) unique per row — year does not determine it
-        assert "loudness" not in find_many_to_one(_stats(songs, "year"), "year")
+        assert "loudness" not in _stats(songs, "year").fd["year"]
 
     def test_rejects_equally_fine_mapping(self, spark):
         # Bijective mapping is consistent but NOT strictly coarser (cond 2).
         pdf = pd.DataFrame({"a": [1, 2, 3], "b": ["x", "y", "z"]})
-        assert find_many_to_one(_stats(spark.createDataFrame(pdf), "a"), "a") == []
+        assert _stats(spark.createDataFrame(pdf), "a").fd["a"] == []
 
     def test_reverse_direction_not_fd(self, songs):
         # decade -> year is one-to-many, not a function.
-        assert "year" not in find_many_to_one(_stats(songs, "decade"), "decade")
+        assert "year" not in _stats(songs, "decade").fd["decade"]
 
     def test_partition_uses_b_labels(self, songs):
         ps = many_to_one_partitions(_stats(songs, "year", 5), "year", 5)
@@ -170,9 +177,7 @@ class TestManyToOne:
         assert all(lab.isdigit() for lab in p.labels.values())
 
     def test_candidates_restriction(self, songs):
-        assert find_many_to_one(
-            _stats(songs, "year", many_to_one_candidates=["artist"]), "year"
-        ) == []
+        assert _stats(songs, "year", many_to_one_candidates=["artist"]).fd["year"] == []
 
     def test_max_targets_cap(self, spark):
         pdf = pd.DataFrame(
@@ -230,7 +235,7 @@ class TestFunctionalDependencyScan:
 
     def test_matches_count_distinct_scan(self, df, old_scan):
         cols = df.columns
-        got = _max_distinct_per_value(df, cols, cols)
+        _, got = value_scan(df, cols, cols, 5)
         for a in cols:
             for c in cols:
                 assert got[a][c] == min(old_scan[a][c], 2), (a, c)
@@ -244,10 +249,10 @@ class TestFunctionalDependencyScan:
                 (c for c in cols if c != a and old_scan[a][c] == 1 and 0 < nd[c] < nd[a]),
                 key=lambda c: nd[c],
             )
-            assert find_many_to_one(stats, a) == expected, a
+            assert stats.fd[a] == expected, a
         # The cases the fixture plants, read from the new scan:
-        assert set(find_many_to_one(stats, "a")) >= {"b_nonnull", "b_null", "b_nan", "b_zero"}
-        assert "b_mixed" not in find_many_to_one(stats, "a")
+        assert set(stats.fd["a"]) >= {"b_nonnull", "b_null", "b_nan", "b_zero"}
+        assert "b_mixed" not in stats.fd["a"]
 
 
 class TestPartitionsForAttribute:
@@ -272,16 +277,17 @@ class TestPartitionsForAttribute:
 
     def test_batched_stats_match_single_attribute(self, songs):
         # One batched statistics pass over several attributes (what
-        # explain runs) reads the same figures as one pass per attribute.
+        # explain runs) reads the same figures as one pass per attribute,
+        # each on a new DataFrame, which shares no memoized statistics.
         attrs = ["year", "artist", "loudness", "decade"]
-        batched = partition_stats(songs, attrs, (5, 10))
+        batched = partition_stats(songs.select("*"), attrs, (5, 10))
         for a in attrs:
-            single = partition_stats(songs, [a], (5, 10))
+            single = partition_stats(songs.select("*"), [a], (5, 10))
             assert batched.top[a] == single.top[a], a
             assert batched.quantiles.get(a) == single.quantiles.get(a), a
             assert batched.lo.get(a) == single.lo.get(a), a
             assert batched.hi.get(a) == single.hi.get(a), a
-            assert find_many_to_one(batched, a) == find_many_to_one(single, a), a
+            assert batched.fd[a] == single.fd[a], a
 
     def test_batched_call_ties_nulls_and_collapse(self, spark):
         pdf = pd.DataFrame(
@@ -298,3 +304,139 @@ class TestPartitionsForAttribute:
         ny = [p for p in ps if (p.attr, p.method) == ("y", "numeric")]
         assert len(ny) == 1 and len(ny[0].labels) <= 3
         assert sum(_pid_counts(ny[0]).values()) == 60
+
+
+class TestValueScan:
+    """The top-n of the value scan equals pandas' ``value_counts`` with
+    ties broken by value ascending, for every value type."""
+
+    @pytest.fixture(scope="class")
+    def table(self, spark):
+        g = np.random.default_rng(3)
+        n = 240
+        days = [dt.date(2020, 1, d) for d in (1, 2, 3, 4)] + [None]
+        rows = list(
+            zip(
+                g.choice(["a", "b", "c", "d", None], n).tolist(),
+                g.choice([0.0, -0.0, 1.5, float("nan"), None, 2.5, -1.0], n).tolist(),
+                g.choice([True, False, None], n).tolist(),
+                [days[i] for i in g.integers(0, 5, n)],
+                g.integers(0, 7, n).tolist(),
+                ["y", "x", "z", "w"] * (n // 4),  # four-way tie
+            )
+        )
+        schema = "s string, d double, b boolean, t date, i long, tie string"
+        pdf = pd.DataFrame(rows, columns=["s", "d", "b", "t", "i", "tie"])
+        return spark.createDataFrame(rows, schema), pdf
+
+    @staticmethod
+    def _oracle(series: pd.Series, n: int) -> list:
+        counts = series.dropna().value_counts()
+        return [v for v, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))][:n]
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_matches_value_counts(self, table, n):
+        df, pdf = table
+        top, codes = value_scan(df, df.columns, [], n)
+        assert codes == {c: {} for c in df.columns}
+        for c in df.columns:
+            assert top[c] == self._oracle(pdf[c], n), c
+        assert top["tie"] == ["w", "x", "y", "z"][:n]
+        assert 0.0 in top["d"] and not any(v != v for v in top["d"])  # -0.0 is 0.0, no NaN
+
+    def test_partition_stats_reads_the_scan(self, table):
+        df, pdf = table
+        stats = partition_stats(df.select("*"), df.columns, (3, 5), many_to_one_candidates=[])
+        for c in df.columns:
+            assert stats.top[c] == self._oracle(pdf[c], 5), c
+
+
+class TestStatsActions:
+    """``partition_stats`` on a profiled input: one ``collect`` for every
+    categorical attribute, one ``approxQuantile`` more for numeric ones."""
+
+    def test_categorical_one_collect(self, spark, songs):
+        df = songs.select("*")
+        input_profile(df)
+        assert _actions(spark, lambda: partition_stats(df, ["artist"], (5, 10))) == ["collect"]
+
+    def test_numeric_adds_one_quantile(self, spark, songs):
+        df = songs.select("*")
+        input_profile(df)
+        actions = _actions(spark, lambda: partition_stats(df, ["artist", "decade"], (5, 10)))
+        assert actions == ["approxQuantile", "collect"]
+
+
+def _same_stats(a, b) -> bool:
+    return (a.lo, a.hi, a.quantiles, a.fd, a.top) == (b.lo, b.hi, b.quantiles, b.fd, b.top)
+
+
+class TestStatsMemo:
+    """Partition statistics are memoized per DataFrame object: what an
+    earlier call computed on the same DataFrame costs no Spark job."""
+
+    def test_subset_runs_no_job(self, spark, songs):
+        df = songs.select("*")
+        partitions_for_attribute(df, ["year", "artist", "loudness"], (5, 10))
+        jobs = _spark_jobs(spark, lambda: partitions_for_attribute(df, ["year", "loudness"]))
+        assert jobs == 0
+
+    def test_new_attribute_computed_alone(self, spark, songs, monkeypatch):
+        df = songs.select("*")
+        partition_stats(df, ["artist", "loudness"], (5, 10))
+        scans, quantiles = [], []
+        scan = partition.value_scan
+        monkeypatch.setattr(
+            partition, "value_scan", lambda d, cols, *a: scans.append(cols) or scan(d, cols, *a)
+        )
+        cls = type(df)
+        approx = cls.approxQuantile
+        monkeypatch.setattr(
+            cls, "approxQuantile", lambda d, cols, *a: quantiles.append(cols) or approx(d, cols, *a)
+        )
+        stats = partition_stats(df, ["artist", "loudness", "decade"], (5, 10))
+        assert [c for c in scans if c] == [["decade"]]
+        assert quantiles == [["decade"]]
+        assert _same_stats(stats, partition_stats(songs.select("*"), ["artist", "loudness", "decade"]))
+
+    def test_more_sets_match_a_new_dataframe(self, songs):
+        attrs = ["year", "artist", "loudness"]
+        df = songs.select("*")
+        partition_stats(df, attrs, (5, 10))
+        wider = partition_stats(df, attrs, (5, 20))
+        assert len(wider.top["artist"]) == 20
+        assert _same_stats(wider, partition_stats(songs.select("*"), attrs, (5, 20)))
+        assert _same_stats(partition_stats(df, attrs, (5,)), partition_stats(songs.select("*"), attrs, (5,)))
+
+    def test_new_dataframe_recomputes(self, spark, songs):
+        df = songs.select("*")
+        partition_stats(df, ["artist"])
+        again = df.select("*")
+        input_profile(again)
+        assert _spark_jobs(spark, lambda: partition_stats(again, ["artist"])) > 0
+
+    def test_entry_dies_with_its_dataframe(self, songs):
+        df = songs.select("*")
+        partitions_for_attribute(df, ["year"], (5,))
+        ref = weakref.ref(df)
+        assert ref() in partition._MEMO
+        del df
+        gc.collect()
+        assert ref() is None
+        assert not [v for v in _memo_leaves() if isinstance(v, (DataFrame, Column, PartitionStats))]
+
+
+def _memo_leaves():
+    """Every value in the memo, containers opened."""
+    stack = list(partition._MEMO.values())
+    while stack:
+        x = stack.pop()
+        if isinstance(x, partition._Memo):
+            stack.extend([x.quantiles, x.top, x.fd])
+        elif isinstance(x, dict):
+            stack.extend(x.keys())
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        else:
+            yield x
