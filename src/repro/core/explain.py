@@ -14,9 +14,7 @@
 
 Candidate pairing follows the paper's examples: exceptionality steps
 partition the input on the scored column itself (plus many-to-one
-ancestors), group-by steps partition on the group keys
-(``FedexConfig.cross_partitions`` switches to the full Def. 3.5
-cross-product). See DESIGN.md §1.
+ancestors), group-by steps partition on the group keys. See DESIGN.md §1.
 """
 from __future__ import annotations
 
@@ -42,11 +40,24 @@ class FedexConfig:
     sample_size: int | None = None  # 5000 → FEDEX-SAMPLING; None → exact
     max_distinct: int = 2000  # KS value-domain compaction threshold
     top_k_explanations: int | None = None  # optional cap after ranking
-    w_i: float = 1.0  # weighted-score weights (§3.7)
-    w_c: float = 1.0
     columns: list[str] | None = None  # §3.8 user-specified columns
-    cross_partitions: bool = False  # full Def. 3.5 candidate space
     seed: int = 0
+
+    def __post_init__(self):
+        # Checked here, before any Spark job: each of these would
+        # otherwise fail or build nothing deep inside a phase.
+        if not self.n_sets or min(self.n_sets) < 2:
+            raise ValueError(f"n_sets must be non-empty, each n >= 2: {self.n_sets!r}")
+        if self.top_k_columns < 1:
+            raise ValueError(f"top_k_columns must be >= 1: {self.top_k_columns!r}")
+        if self.max_distinct < 1:
+            raise ValueError(f"max_distinct must be >= 1: {self.max_distinct!r}")
+        if self.sample_size is not None and self.sample_size < 1:
+            raise ValueError(f"sample_size must be >= 1 or None: {self.sample_size!r}")
+        if self.top_k_explanations is not None and self.top_k_explanations < 0:
+            raise ValueError(
+                f"top_k_explanations must be >= 0 or None: {self.top_k_explanations!r}"
+            )
 
 
 @dataclass
@@ -63,7 +74,7 @@ class Explanation:
     interestingness: float  # I_A(Q)
     contribution: float  # C(R, A, Q)
     std_contribution: float  # C̄(R, A)
-    score: float  # §3.7 weighted score, reported only
+    score: float  # §3.7 weighted score at equal weights, reported only
     caption: str
     stats: dict = field(default_factory=dict)
 
@@ -107,23 +118,6 @@ class Fedex:
         return ranked[: self.config.top_k_columns]
 
     # -- phase 2: partitions ------------------------------------------
-    def _partition_attrs(self, step: Step, top_cols: list[str]) -> dict[str, list[str]]:
-        """Which input attributes to partition on, per scored column.
-
-        Paired mode (default): exceptionality steps partition on the
-        scored column itself; group-by steps partition on each group key
-        for every scored column. Cross mode partitions every input
-        attribute for every scored column (Def. 3.5's full space).
-        """
-        if isinstance(step, GroupByStep):
-            return {c: list(step.keys) for c in top_cols}
-        if self.config.cross_partitions:
-            all_attrs = [
-                a for a in step.partitioned_input.columns
-            ]
-            return {c: all_attrs for c in top_cols}
-        return {c: [c] for c in top_cols}
-
     def _step_for_column(self, step: Step, col: str) -> Step:
         """For joins, partition the input side carrying ``col`` (§3.2's
         d'_in), flipping ``partition_side`` if needed; other steps are
@@ -145,17 +139,17 @@ class Fedex:
         pass across many sampled interestingness variants — sampling only
         affects phase 1 (§3.7)."""
         cfg = self.config
-        attr_map = self._partition_attrs(step, top_cols)
         # Which attributes to partition on each input, and which scored
-        # columns each (input, attribute) serves, in top_cols order.
+        # columns each (input, attribute) serves, in top_cols order: a
+        # group-by step partitions on its keys, any other step on the
+        # scored column itself (the greedy step of §3.7, not Def. 3.5's
+        # full cross space).
         inputs: dict[int, tuple[Step, dict[str, list[str]]]] = {}
         for col in top_cols:
             target_step = self._step_for_column(step, col)
             d_in = target_step.partitioned_input
-            attrs = [a for a in attr_map.get(col, []) if a in d_in.columns]
-            if not isinstance(step, GroupByStep) and not cfg.cross_partitions:
-                attrs = attrs[:1]  # paired mode: partition on col itself
-            for attr in attrs:
+            attrs = step.keys if isinstance(step, GroupByStep) else [col]
+            for attr in (a for a in attrs if a in d_in.columns):
                 served = inputs.setdefault(id(d_in), (target_step, {}))[1]
                 served.setdefault(attr, []).append(col)
 
@@ -198,7 +192,7 @@ class Fedex:
             for i, c_raw in res.contributions.items():
                 if c_raw <= 0:  # Algorithm 1 line 11
                     continue
-                interest = scores.get(res.column, res.score_full)
+                interest = scores[res.column]
                 candidates.append(
                     self._make_explanation(step, p, res, i, interest, std[i])
                 )
@@ -238,7 +232,6 @@ class Fedex:
         interest: float,
         std_c: float,
     ) -> Explanation:
-        cfg = self.config
         label = p.labels[set_id]
         stats = res.stats.get(set_id, {})
         if isinstance(step, GroupByStep):
@@ -278,7 +271,7 @@ class Fedex:
             interestingness=interest,
             contribution=res.contributions[set_id],
             std_contribution=std_c,
-            score=weighted_score(interest, std_c, cfg.w_i, cfg.w_c),
+            score=weighted_score(interest, std_c),
             caption=caption,
             stats=stats,
         )

@@ -37,9 +37,9 @@ most two Spark actions:
 The statistics are memoized per DataFrame object in a weak-keyed memo,
 with the same validity as the profile's (a DataFrame is an immutable
 plan): quantiles per (attribute, n), top values per column, FD targets
-per (attribute, candidates, cap). A call scans only what it misses, so a
-step over attributes an earlier step partitioned on the same DataFrame
-runs no Spark job. The memo holds plain Python values only: a DataFrame
+per attribute. A call scans only what it misses, so a step over
+attributes an earlier step partitioned on the same DataFrame runs no
+Spark job. The memo holds plain Python values only: a DataFrame
 or Column in it would keep its weak key alive.
 
 :func:`partitions_for_attribute` builds all partitions of the requested
@@ -195,8 +195,7 @@ class _Memo:
 
     quantiles: dict[tuple[str, int], list[float]] = field(default_factory=dict)
     top: dict[str, tuple[int, list]] = field(default_factory=dict)  # col -> (n, values)
-    # (attr, (candidates, cap)) -> targets
-    fd: dict[tuple[str, tuple], list[str]] = field(default_factory=dict)
+    fd: dict[str, list[str]] = field(default_factory=dict)  # attr -> targets
 
     def top_values(self, col: str, n: int) -> list | None:
         """``col``'s ``n`` most frequent values, if known: a prefix of a
@@ -207,32 +206,28 @@ class _Memo:
 
 _MEMO: weakref.WeakKeyDictionary[DataFrame, _Memo] = weakref.WeakKeyDictionary()
 
+#: Many-to-one targets kept per attribute: the coarsest ones, bounding
+#: candidate blow-up on wide schemas.
+MAX_M2O_TARGETS = 2
+
 
 def partition_stats(
-    d_in: DataFrame,
-    attrs: list[str],
-    n_sets: tuple[int, ...] = (5, 10),
-    *,
-    many_to_one_candidates: list[str] | None = None,
-    max_m2o_targets: int = 2,
+    d_in: DataFrame, attrs: list[str], n_sets: tuple[int, ...] = (5, 10)
 ) -> PartitionStats:
     """The statistics every partition of ``attrs`` over ``d_in`` needs:
     the input's profile, at most one ``approxQuantile`` and two value
     scans, and no Spark job for what the memo already holds (module
     docstring).
 
-    Many-to-one targets of attribute A are the candidate columns B (all
-    other columns by default) with a strictly coarser functional
-    dependency A→B: every A-value maps to exactly one B-value
-    (at most one distinct B-value in every A-group, one in some) and some
-    B-value covers ≥2 A-values (B has fewer distinct values than A). Only the
-    coarsest (fewest-distinct) ``max_m2o_targets`` of them are kept,
-    bounding candidate blow-up on wide schemas.
+    Many-to-one targets of attribute A are the other columns B with a
+    strictly coarser functional dependency A→B: every A-value maps to
+    exactly one B-value (at most one distinct B-value in every A-group,
+    one in some) and some B-value covers ≥2 A-values (B has fewer
+    distinct values than A). Only the coarsest (fewest-distinct)
+    :data:`MAX_M2O_TARGETS` of them are kept.
     """
     attrs = list(dict.fromkeys(attrs))
-    if many_to_one_candidates is None:
-        many_to_one_candidates = d_in.columns
-    candidates = tuple(c for c in many_to_one_candidates if c != PID)
+    candidates = [c for c in d_in.columns if c != PID]
     profile = input_profile(d_in)
     memo = _MEMO.setdefault(d_in, _Memo())
     n_top = max(n_sets)
@@ -260,15 +255,14 @@ def partition_stats(
         a: [c for c in candidates if c != a and 0 < profile.distinct[c] < profile.distinct[a]]
         for a in attrs
     }
-    asked = (candidates, max_m2o_targets)
-    need_fd = [a for a in attrs if (a, asked) not in memo.fd]
+    need_fd = [a for a in attrs if a not in memo.fd]
     batch = [a for a in attrs if a in need_fd or memo.top_values(a, n_top) is None]
     carried = list(dict.fromkeys(c for a in need_fd for c in allowed[a]))
     top, codes = value_scan(d_in, batch, carried, n_top)
     for a in need_fd:
         targets = [c for c in allowed[a] if codes[a].get(c) == 1]
-        memo.fd[a, asked] = sorted(targets, key=lambda c: profile.distinct[c])[:max_m2o_targets]
-    fd = {a: memo.fd[a, asked] for a in attrs}
+        memo.fd[a] = sorted(targets, key=lambda c: profile.distinct[c])[:MAX_M2O_TARGETS]
+    fd = {a: memo.fd[a] for a in attrs}
     top_cols = list(dict.fromkeys(attrs + [b for a in attrs for b in fd[a]]))
     # FD targets outside the batch whose top values are not yet known.
     rest = [b for b in top_cols if b not in top and memo.top_values(b, n_top) is None]
@@ -370,12 +364,7 @@ def many_to_one_partitions(stats: PartitionStats, attr: str, n: int) -> list[Par
 
 
 def partitions_for_attribute(
-    d_in: DataFrame,
-    attrs: list[str],
-    n_sets: tuple[int, ...] = (5, 10),
-    *,
-    many_to_one_candidates: list[str] | None = None,
-    max_m2o_targets: int = 2,
+    d_in: DataFrame, attrs: list[str], n_sets: tuple[int, ...] = (5, 10)
 ) -> list[Partition]:
     """All partitions FEDEX builds on one input (§3.5, §3.7): for each
     attribute in ``attrs`` and each requested size n — frequency, numeric
@@ -386,13 +375,7 @@ def partitions_for_attribute(
     (e.g. many-to-one on a 4-value 'decade' at n=5 and n=10) are
     deduplicated.
     """
-    stats = partition_stats(
-        d_in,
-        attrs,
-        n_sets,
-        many_to_one_candidates=many_to_one_candidates,
-        max_m2o_targets=max_m2o_targets,
-    )
+    stats = partition_stats(d_in, attrs, n_sets)
     out: list[Partition] = []
     for attr in dict.fromkeys(attrs):
         seen: set[tuple] = set()

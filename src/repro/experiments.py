@@ -1,10 +1,9 @@
 """Experiment harnesses for the paper's evaluation artifacts (§4).
 
 One function per evaluation figure/table; ``jobs/*.py`` are thin
-spark-submit wrappers and ``benchmarks/bench_*.py`` time the same calls
-with pytest-benchmark. Every function returns a tidy ``pandas.DataFrame``
-whose rows mirror the numbers the paper reports, so EXPERIMENTS.md can
-diff paper vs measured directly.
+spark-submit wrappers that run and print them. Every function returns a
+tidy ``pandas.DataFrame`` whose rows mirror the numbers the paper
+reports, so EXPERIMENTS.md can diff paper vs measured directly.
 """
 from __future__ import annotations
 
@@ -25,6 +24,7 @@ from repro.studysim.unassisted import count_insights
 from repro.workload.queries import (
     BY_NUM,
     NOTEBOOKS,
+    SCALES,
     DatasetBundle,
     WorkloadQuery,
     make_bundle,
@@ -115,22 +115,17 @@ def accuracy_vs_rows(
     """FEDEX-SAMPLING accuracy at a fixed 5K sample while the Products
     data grows (paper Fig. 8; their x-axis reaches 3M rows — we sweep a
     scaled-down range with the same fixed sample size)."""
-    from repro.workload.queries import SCALES
-
     cfg = config or FedexConfig()
     rows = []
     for n in row_counts:
-        SCALES["custom"] = dict(SCALES["test"], sales=n)
-        try:
-            out = sampling_accuracy(
-                spark,
-                query_nums=query_nums,
-                sample_sizes=(sample_size,),
-                scale="custom",
-                config=cfg,
-            )
-        finally:
-            SCALES.pop("custom", None)
+        products = make_bundle(spark, "products", dict(SCALES["test"], sales=n))
+        out = sampling_accuracy(
+            spark,
+            query_nums=query_nums,
+            sample_sizes=(sample_size,),
+            config=cfg,
+            bundles={"products": products},
+        )
         rows.append(
             {
                 "n_rows": n,
@@ -226,8 +221,6 @@ def runtime_vs_rows(
     """Runtime as the data grows (paper Fig. 10): FEDEX (exact) vs
     FEDEX-SAMPLING, with SeeDB/RATH for context, averaged over the
     dataset's filter/join queries."""
-    from repro.workload.queries import SCALES
-
     key = {"spotify": "spotify", "bank": "bank", "products": "sales"}[dataset]
     queries = [
         q
@@ -238,11 +231,7 @@ def runtime_vs_rows(
     ]
     rows = []
     for n in row_counts:
-        SCALES["custom"] = dict(SCALES["test"], **{key: n})
-        try:
-            bundle = make_bundle(spark, dataset, "custom")
-        finally:
-            SCALES.pop("custom", None)
+        bundle = make_bundle(spark, dataset, dict(SCALES["test"], **{key: n}))
         for q in queries:
             step = q.build(bundle)
             rec = {"query": q.num, "n_rows": n}

@@ -14,7 +14,7 @@ the same attribute; the only mapping is query 18's ``products_sales_pack``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -50,9 +50,13 @@ class DatasetBundle:
     pandas_tables: dict[str, pd.DataFrame]
 
 
-def make_bundle(spark: SparkSession, dataset: str, scale: str = "test") -> DatasetBundle:
-    """Materialize one of the three evaluation datasets at a scale preset."""
-    sz = SCALES[scale]
+def make_bundle(
+    spark: SparkSession, dataset: str, scale: str | Mapping[str, int] = "test"
+) -> DatasetBundle:
+    """Materialize one of the three evaluation datasets at a scale: a
+    :data:`SCALES` preset name or a ``{table: rows}`` mapping with the
+    keys the dataset reads."""
+    sz = SCALES[scale] if isinstance(scale, str) else scale
     if dataset == "spotify":
         pdf = spotify_pdf(sz["spotify"])
         return DatasetBundle(

@@ -71,6 +71,7 @@ class TestRuntimeHarnesses:
         )
         assert {"fedex_s", "fedex_sampling_s"} <= set(out.columns)
         assert (out["fedex_s"] > 0).all()
+        assert (out["fedex_sampling_s"] > 0).all()
 
     def test_rath_oom_recorded_as_none(self, spark):
         out = E.runtime_vs_rows(

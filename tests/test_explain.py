@@ -239,6 +239,21 @@ class TestGroupByExplanation:
 
 
 class TestConfigKnobs:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_sets": ()},
+            {"n_sets": (5, 1)},
+            {"top_k_columns": 0},
+            {"max_distinct": 0},
+            {"sample_size": 0},
+            {"top_k_explanations": -1},
+        ],
+    )
+    def test_out_of_range_rejected_on_construction(self, bad):
+        with pytest.raises(ValueError):
+            FedexConfig(**bad)
+
     def test_user_specified_columns(self, spotify_df):
         step = FilterStep(spotify_df, "popularity > 65")
         fx = Fedex(FedexConfig(columns=["loudness", "danceability"]))
@@ -288,7 +303,8 @@ class TestConfigKnobs:
 
 class TestPhase2JobBudget:
     """Phase 2 runs a fixed number of Spark jobs per partitioned input:
-    the count does not grow with the scored columns or the set counts."""
+    the count does not grow with the scored columns, the set counts or
+    the partitioned attributes."""
 
     @staticmethod
     def _jobs(spark, fx, step, cols) -> int:
@@ -336,6 +352,26 @@ class TestPhase2JobBudget:
             return self._jobs(spark, fx, self._step(spotify_df), cols)
 
         assert jobs(50) == jobs(10**9)
+
+    def test_constant_in_partitioned_attributes(self, spark, small_bank):
+        # Partitions of every Bank attribute, all scored on one column,
+        # run as many jobs as partitions of four.
+        bank = small_bank.spark_tables["bank"]
+        few = ["Attrition_Flag", "Customer_Age", "Gender", "Marital_Status"]
+
+        def jobs(columns):
+            df = bank.select(*columns)
+            interestingness.input_profile(df)
+            step = BY_NUM[11].build(DatasetBundle("bank", {"bank": df}, {}))
+
+            def run():
+                parts = partitions_for_attribute(df, df.columns, (5,))
+                exceptionality_contributions_multi(step, [(p, ["Customer_Age"]) for p in parts])
+
+            return _spark_jobs(spark, run)
+
+        assert jobs(few) > 0
+        assert jobs(bank.columns) == jobs(few)
 
 
 class TestPhase1JobBudget:
@@ -463,27 +499,12 @@ class TestPartitionStatsReuse:
 
 
 class TestCrossPartitions:
-    """``cross_partitions=True`` partitions every input attribute for
-    every scored column (Def. 3.5's full space) in one statistics batch."""
+    """Def. 3.5's full space partitions every input attribute; explain
+    builds only the greedy part of it (§3.7), but one statistics batch
+    over every attribute of a wide input still reads each as alone."""
 
-    @staticmethod
-    def _step(df):
-        return BY_NUM[11].build(DatasetBundle("bank", {"bank": df}, {}))
-
-    def test_every_attribute_partitioned_as_alone(self, spark, small_bank, monkeypatch):
+    def test_every_attribute_partitioned_as_alone(self, spark, small_bank):
         df = small_bank.spark_tables["bank"].select("*")
-        step = self._step(df)
-        fx = Fedex(FedexConfig(cross_partitions=True, n_sets=(5,)))
-        calls = []
-        build = partitions_for_attribute
-        monkeypatch.setattr(
-            explain_module,
-            "partitions_for_attribute",
-            lambda d, attrs, *a, **k: calls.append(attrs) or build(d, attrs, *a, **k),
-        )
-        results = fx.contribution_results(step, ["Customer_Age", "Gender"])
-        assert calls == [df.columns]
-        assert {res.column for _, res in results} == {"Customer_Age", "Gender"}
         batched = partition_stats(df, df.columns, (5,))
         for a in df.columns:
             single = partition_stats(df.select("*"), [a], (5,))
@@ -491,19 +512,6 @@ class TestCrossPartitions:
             assert batched.fd[a] == single.fd[a], a
             assert batched.quantiles.get(a) == single.quantiles.get(a), a
             assert (batched.lo.get(a), batched.hi.get(a)) == (single.lo.get(a), single.hi.get(a)), a
-
-    def test_jobs_constant_in_attributes(self, spark, small_bank):
-        bank = small_bank.spark_tables["bank"]
-        few = ["Attrition_Flag", "Customer_Age", "Gender", "Marital_Status"]
-
-        def jobs(columns):
-            df = bank.select(*columns)
-            interestingness.input_profile(df)
-            fx = Fedex(FedexConfig(cross_partitions=True, n_sets=(5,)))
-            return _spark_jobs(spark, lambda: fx.contribution_results(self._step(df), ["Customer_Age"]))
-
-        assert jobs(few) > 0
-        assert jobs(bank.columns) == jobs(few)
 
 
 class TestInputProfileReuse:

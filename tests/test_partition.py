@@ -40,9 +40,9 @@ def songs(spark):
     )
 
 
-def _stats(df, attr, n=5, **kw):
+def _stats(df, attr, n=5):
     """The batched statistics ``partitions_for_attribute`` builds from."""
-    return partition_stats(df, [attr], (n,), **kw)
+    return partition_stats(df, [attr], (n,))
 
 
 def _pid_counts(p):
@@ -177,7 +177,10 @@ class TestManyToOne:
         assert all(lab.isdigit() for lab in p.labels.values())
 
     def test_candidates_restriction(self, songs):
-        assert _stats(songs, "year", many_to_one_candidates=["artist"]).fd["year"] == []
+        # artist varies within a year (code 2), so it is no target of year.
+        _, codes = value_scan(songs, ["year"], ["artist"], 5)
+        assert codes["year"]["artist"] == 2
+        assert "artist" not in _stats(songs, "year").fd["year"]
 
     def test_max_targets_cap(self, spark):
         pdf = pd.DataFrame(
@@ -188,9 +191,11 @@ class TestManyToOne:
                 "d": ["m", "m", "m", "n"],
             }
         )
-        stats = _stats(spark.createDataFrame(pdf), "a", 5, max_m2o_targets=1)
-        ps = many_to_one_partitions(stats, "a", 5)
-        assert len(ps) == 1
+        df = spark.createDataFrame(pdf)
+        _, codes = value_scan(df, ["a"], ["b", "c", "d"], 5)
+        assert codes["a"] == {"b": 1, "c": 1, "d": 1}  # three FD targets
+        ps = many_to_one_partitions(_stats(df, "a", 5), "a", 5)
+        assert len(ps) == 2
 
 
 class TestFunctionalDependencyScan:
@@ -243,16 +248,17 @@ class TestFunctionalDependencyScan:
     def test_same_fd_targets(self, df, old_scan):
         cols = df.columns
         nd = df.agg(*[F.countDistinct(c).alias(c) for c in cols]).collect()[0]
-        stats = partition_stats(df, cols, (5,), max_m2o_targets=len(cols))
+        stats = partition_stats(df, cols, (5,))
         for a in cols:
             expected = sorted(
                 (c for c in cols if c != a and old_scan[a][c] == 1 and 0 < nd[c] < nd[a]),
                 key=lambda c: nd[c],
             )
-            assert stats.fd[a] == expected, a
+            assert stats.fd[a] == expected[:2], a
         # The cases the fixture plants, read from the new scan:
-        assert set(stats.fd["a"]) >= {"b_nonnull", "b_null", "b_nan", "b_zero"}
-        assert "b_mixed" not in stats.fd["a"]
+        _, codes = value_scan(df, ["a"], cols, 5)
+        assert {c for c in cols if codes["a"][c] == 1} >= {"b_nonnull", "b_null", "b_nan", "b_zero"}
+        assert codes["a"]["b_mixed"] == 2
 
 
 class TestPartitionsForAttribute:
@@ -346,7 +352,7 @@ class TestValueScan:
 
     def test_partition_stats_reads_the_scan(self, table):
         df, pdf = table
-        stats = partition_stats(df.select("*"), df.columns, (3, 5), many_to_one_candidates=[])
+        stats = partition_stats(df.select("*"), df.columns, (3, 5))
         for c in df.columns:
             assert stats.top[c] == self._oracle(pdf[c], 5), c
 

@@ -33,6 +33,13 @@ def test_query_matches_duckdb(num, bundles):
     assert_equivalent(step.output(), q.sql, **b.pandas_tables)
 
 
+def test_make_bundle_takes_table_sizes(spark):
+    b = make_bundle(spark, "products", {"products": 50, "sales": 300})
+    assert len(b.pandas_tables["products"]) == 50
+    assert b.spark_tables["products"].count() == 50
+    assert b.spark_tables["sales"].count() == 300
+
+
 class TestWorkloadStructure:
     def test_thirty_queries(self):
         assert len(QUERIES) == 30
