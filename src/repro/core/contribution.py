@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core import reference
 from repro.core.interestingness import (
@@ -48,7 +47,7 @@ from repro.core.interestingness import (
     melt_element,
     melted_counts,
 )
-from repro.core.model import PID, GroupByStep, Step
+from repro.core.model import PID, GroupByStep, Step, quote, sql_double
 from repro.core.partition import Partition
 
 
@@ -89,8 +88,7 @@ def exceptionality_contributions_multi(
     if not groups:
         return []
     base = groups[0][0].base
-    pid_cols = [f"{PID}_{k}" for k in range(len(groups))]
-    ann_in = base.select("*", *[p.pid.alias(pc) for (p, _), pc in zip(groups, pid_cols)])
+    ann_in, pid_cols = _annotated(groups)
     ann_out = step.apply_annotated(ann_in)
     columns = sorted(
         {c for _, cols in groups for c in cols if c in ann_in.columns and c in ann_out.columns}
@@ -104,11 +102,11 @@ def exceptionality_contributions_multi(
     # constant per set of partition k: its shares.
     n = len(pairs)
     elems = [
-        melt_element(
-            j, binned(c, edges.get(c), max_distinct), c in numeric, F.col(pid_cols[k])
-        )
+        melt_element(j, binned(c, edges.get(c), max_distinct), c in numeric, quote(pid_cols[k]))
         for j, (k, c) in enumerate(pairs)
-    ] + [melt_element(n + k, F.lit(0.0), True, F.col(pc)) for k, pc in enumerate(pid_cols)]
+    ] + [
+        melt_element(n + k, sql_double(0.0), True, quote(pc)) for k, pc in enumerate(pid_cols)
+    ]
     counts = melted_counts([(ann_in, elems), (ann_out, elems)])
 
     stats = []
@@ -132,6 +130,14 @@ def exceptionality_contributions_multi(
             )
         )
     return results
+
+
+def _annotated(groups: list[tuple[Partition, list[str]]]) -> tuple[DataFrame, list[str]]:
+    """The partitions' common input with each partition k's set id as
+    column ``__pid_k``, and those column names."""
+    pid_cols = [f"{PID}_{k}" for k in range(len(groups))]
+    pids = {pc: p.pid for (p, _), pc in zip(groups, pid_cols)}
+    return groups[0][0].base.withColumns(pids), pid_cols
 
 
 def _shares(counts: pd.DataFrame | None, set_ids: list[int]) -> dict[int, float]:
@@ -197,18 +203,9 @@ def diversity_contributions_multi(
     """
     if not groups:
         return []
-    base = groups[0][0].base
-    exploded = base.select(
-        "*",
-        F.inline(
-            F.array(
-                *[
-                    F.struct(F.lit(k).alias("__k"), p.pid.alias(PID))
-                    for k, (p, _) in enumerate(groups)
-                ]
-            )
-        ),
-    )
+    ann, pid_cols = _annotated(groups)
+    elems = (f"named_struct('__k', {k}, '{PID}', {quote(pc)})" for k, pc in enumerate(pid_cols))
+    exploded = ann.selectExpr("*", f"inline(array({', '.join(elems)}))")
     all_partials = step.partial_aggregates(exploded, by=("__k", PID)).toPandas()
     by_k = dict(tuple(all_partials.groupby("__k")))
     results: list[ContributionResult] = []
@@ -299,11 +296,11 @@ def naive_contribution(
     where no column exceeds ``max_distinct`` distinct values. Union steps
     are scored against the partitioned input.
     """
-    d_in_minus = partition.df.filter(F.col(PID) != F.lit(set_id)).drop(PID)
+    d_in_minus = partition.df.where(f"{PID} != {set_id}").drop(PID)
     d_out_minus = step.apply_annotated(d_in_minus)
 
     def values(df: DataFrame) -> pd.Series:
-        return df.select(column).toPandas()[column]
+        return df.selectExpr(quote(column)).toPandas()[column]
 
     if isinstance(step, GroupByStep):
         return reference.cv(values(step.output())) - reference.cv(values(d_out_minus))

@@ -32,7 +32,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -45,6 +45,8 @@ from repro.core.model import (
     JoinStep,
     Step,
     UnionStep,
+    quote,
+    sql_double,
 )
 
 #: Spark types treated as numeric for binning / CV purposes.
@@ -80,12 +82,16 @@ class InputProfile:
 _PROFILES: weakref.WeakKeyDictionary[DataFrame, InputProfile] = weakref.WeakKeyDictionary()
 
 
-def present(df: DataFrame, c: str) -> Column:
-    """``df[c]`` is neither null nor NaN — the rows ``na.drop`` keeps."""
-    cond = F.col(c).isNotNull()
-    if isinstance(df.schema[c].dataType, (T.FloatType, T.DoubleType)):
-        cond = cond & ~F.isnan(c)
-    return cond
+def is_float(df: DataFrame, c: str) -> bool:
+    """True if ``df[c]`` is a float or double column, which may hold NaN."""
+    return isinstance(df.schema[c].dataType, (T.FloatType, T.DoubleType))
+
+
+def present(df: DataFrame, c: str) -> str:
+    """SQL condition: ``df[c]`` is neither null nor NaN — the rows
+    ``na.drop`` keeps."""
+    cond = f"{quote(c)} IS NOT NULL"
+    return f"{cond} AND NOT isnan({quote(c)})" if is_float(df, c) else cond
 
 
 def input_profile(df: DataFrame) -> InputProfile:
@@ -95,18 +101,19 @@ def input_profile(df: DataFrame) -> InputProfile:
     source that changes under it is out of scope."""
     if df not in _PROFILES:
         numeric = [c for c in df.columns if is_numeric(df, c)]
-        stats = {("distinct", c): F.size(F.collect_set(c)) for c in df.columns}
+        stats = {("distinct", c): f"size(collect_set({quote(c)}))" for c in df.columns}
         for c in numeric:
-            kept = F.when(present(df, c), F.col(c))
-            if isinstance(df.schema[c].dataType, (T.FloatType, T.DoubleType)):
+            q = quote(c)
+            kept = f"CASE WHEN {present(df, c)} THEN {q} END"
+            if is_float(df, c):
                 # collect_set keeps each NaN apart from the others: count
                 # NaN once, as countDistinct does.
-                has_nan = F.count(F.when(F.isnan(c), 1)) > 0
-                stats["distinct", c] = F.size(F.collect_set(kept)) + has_nan.cast("int")
-            stats["raw_lo", c], stats["raw_hi", c] = F.min(c), F.max(c)
-            stats["lo", c], stats["hi", c] = F.min(kept), F.max(kept)
-        exprs = [e.alias(f"__{i}") for i, e in enumerate(stats.values())]
-        row = df.agg(F.count(F.lit(1)), *exprs).collect()[0]
+                has_nan = f"CAST(count(CASE WHEN isnan({q}) THEN 1 END) > 0 AS INT)"
+                stats["distinct", c] = f"size(collect_set({kept})) + {has_nan}"
+            stats["raw_lo", c], stats["raw_hi", c] = f"min({q})", f"max({q})"
+            stats["lo", c], stats["hi", c] = f"min({kept})", f"max({kept})"
+        exprs = [f"{e} AS __{i}" for i, e in enumerate(stats.values())]
+        row = df.selectExpr("count(1)", *exprs).collect()[0]
         fields: dict[str, dict] = {f: {} for f in ("distinct", "raw_lo", "raw_hi", "lo", "hi")}
         for (f, c), v in zip(stats, row[1:]):
             fields[f][c] = v
@@ -157,35 +164,31 @@ def bin_edges(
     return edges
 
 
-def binned(attr: str, edge: tuple[float, float] | None, max_distinct: int) -> Column:
-    """Bin id of ``attr`` on the equal-width grid of :func:`bin_edges`
+def binned(attr: str, edge: tuple[float, float] | None, max_distinct: int) -> str:
+    """SQL: bin id of ``attr`` on the equal-width grid of :func:`bin_edges`
     (nulls stay null), or ``attr`` itself when ``edge`` is ``None``."""
+    q = quote(attr)
     if edge is None:
-        return F.col(attr)
+        return q
     lo, hi = edge
-    width = (hi - lo) / max_distinct
-    b = F.least(
-        F.floor((F.col(attr).cast("double") - F.lit(lo)) / F.lit(width)),
-        F.lit(max_distinct - 1),
-    )
-    return F.when(F.col(attr).isNull(), None).otherwise(b)
+    width = sql_double((hi - lo) / max_distinct)
+    b = f"floor((CAST({q} AS DOUBLE) - {sql_double(lo)}) / {width})"
+    return f"CASE WHEN {q} IS NULL THEN NULL ELSE least({b}, {max_distinct - 1}) END"
 
 
-def melt_element(j: int, value: Column, numeric: bool, pid: Column) -> Column:
-    """Element ``j`` of a :func:`melted_counts` melt: ``value`` (a number
-    or bin id, else cast to a string) counted per set id ``pid``."""
-    vn, vs = F.lit(None).cast("double"), F.lit(None).cast("string")
+def melt_element(j: int, value: str, numeric: bool, pid: str) -> str:
+    """SQL: element ``j`` of a :func:`melted_counts` melt, ``value`` (a
+    number or bin id, else cast to a string) counted per set id ``pid``."""
+    vn, vs = "CAST(NULL AS DOUBLE)", "CAST(NULL AS STRING)"
     if numeric:
-        vn = value.cast("double")
+        vn = f"CAST({value} AS DOUBLE)"
     else:
-        vs = value.cast("string")
-    return F.struct(
-        F.lit(j).alias("__j"), vn.alias("__vn"), vs.alias("__vs"), pid.alias(PID)
-    )
+        vs = f"CAST({value} AS STRING)"
+    return f"named_struct('__j', {j}, '__vn', {vn}, '__vs', {vs}, '{PID}', {pid})"
 
 
 def melted_counts(
-    sides: Sequence[tuple[DataFrame, Sequence[Column]]],
+    sides: Sequence[tuple[DataFrame, Sequence[str]]],
 ) -> dict[tuple[int, int], pd.DataFrame]:
     """Per-(value, set) row counts of every :func:`melt_element` of every
     side, keyed by ``(side index, element index)`` — **one** Spark
@@ -198,7 +201,7 @@ def melted_counts(
     element with no value on a side has no entry.
     """
     melts = [
-        df.select(F.lit(s).alias("__side"), F.inline(F.array(*elems)))
+        df.selectExpr(f"{s} AS __side", f"inline(array({', '.join(elems)}))")
         for s, (df, elems) in enumerate(sides)
         if elems
     ]
@@ -206,9 +209,9 @@ def melted_counts(
         return {}
     counts = (
         functools.reduce(DataFrame.unionByName, melts)
-        .where((F.col("__vn").isNotNull() & ~F.isnan("__vn")) | F.col("__vs").isNotNull())
+        .where("(__vn IS NOT NULL AND NOT isnan(__vn)) OR __vs IS NOT NULL")
         .groupBy("__side", "__j", "__vn", "__vs", PID)
-        .agg(F.count(F.lit(1)).alias("__cnt"))
+        .agg(F.expr("count(1) AS __cnt"))
         .toPandas()
     )
     return dict(tuple(counts.groupby(["__side", "__j"])))
@@ -246,9 +249,9 @@ def ks_scores_bulk(
     combine is O(distinct values). Returns one ``{column: KS}`` per
     comparison; a column with no value on a side scores 0.0.
     """
-    elements: dict[tuple, tuple[int, Column]] = {}  # (c, numeric, edge) -> (j, elem)
+    elements: dict[tuple, tuple[int, str]] = {}  # (c, numeric, edge) -> (j, elem)
     plan: list[tuple[int, str, int, bool]] = []  # (side, column, j, numeric)
-    in_elems: list[list[Column]] = []
+    in_elems: list[list[str]] = []
     for s, (d_in, columns, edges) in enumerate(comparisons, start=1):
         elems = []
         for c in columns:
@@ -259,7 +262,7 @@ def ks_scores_bulk(
             if key not in elements:
                 j = len(elements)
                 value = binned(c, key[2], max_distinct)
-                elements[key] = (j, melt_element(j, value, num, F.lit(IGNORE_PID)))
+                elements[key] = (j, melt_element(j, value, num, str(IGNORE_PID)))
             j, elem = elements[key]
             elems.append(elem)
             plan.append((s, c, j, num))
@@ -315,9 +318,10 @@ def scoreable_columns(step: Step) -> list[str]:
     input (the KS needs both sides). Group-by steps score numeric output
     columns (aggregates, plus numeric group keys) with CV.
     """
-    out_cols = [c for c in step.output().columns if c != PID]
+    out = step.output()
+    out_cols = [c for c in out.columns if c != PID]
     if isinstance(step, GroupByStep):
-        return [c for c in out_cols if is_numeric(step.output(), c)]
+        return [c for c in out_cols if is_numeric(out, c)]
     if isinstance(step, FilterStep):
         # The predicate column's deviation is a tautology of the filter,
         # not an insight — see FilterStep.predicate_columns.
@@ -349,7 +353,7 @@ def step_interestingness(
     if isinstance(step, GroupByStep):
         # One row per group: collected once, as phase 2 collects its
         # per-(group, set) partials.
-        out = _output_sample(step, sample_size, seed).select(*cols).toPandas()
+        out = _output_sample(step, sample_size, seed).selectExpr(*map(quote, cols)).toPandas()
         return {c: reference.cv(out[c]) for c in cols}
 
     # One KS comparison per input side, all in one aggregate that reads

@@ -19,10 +19,11 @@ not being partitioned; they are never removed in an intervention.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 #: Name of the internal partition-set-id column.
@@ -38,9 +39,40 @@ def pid_columns(df: DataFrame) -> list[str]:
     """All partition-annotation columns present on ``df``."""
     return [c for c in df.columns if c.startswith(PID_PREFIX)]
 
+
+def quote(name: str) -> str:
+    """``name`` as a Spark SQL identifier: in backticks, any backtick in it
+    doubled. Every column reference the explainer builds goes through
+    this, so names with ``.``, `` ` `` or spaces resolve as themselves."""
+    return "`" + name.replace("`", "``") + "`"
+
+
+_NON_FINITE = {
+    math.inf: "CAST('Infinity' AS DOUBLE)",
+    -math.inf: "CAST('-Infinity' AS DOUBLE)",
+}
+
+
+def sql_double(x: float) -> str:
+    """A SQL double literal of a number the explainer makes itself (a bin
+    edge or a quantile bound) that parses back to the same value. Values
+    read from the user's table are never rendered as text: they stay
+    ``F.lit``."""
+    return f"{float(x)!r}D" if math.isfinite(x) else _NON_FINITE[x]
+
+
 #: Aggregate functions supported by group-by steps. Each is algebraic so
 #: leave-one-out aggregates can be combined from per-set partials.
 AGG_FNS = ("mean", "sum", "count", "min", "max")
+#: The partials each aggregate function is recombined from, as (SQL
+#: function, partial column prefix).
+_PARTIALS = {
+    "mean": (("sum", "sum"), ("count", "cnt")),
+    "sum": (("sum", "sum"),),
+    "count": (("count", "cnt"),),
+    "min": (("min", "min"),),
+    "max": (("max", "max"),),
+}
 
 
 @dataclass(frozen=True)
@@ -60,14 +92,11 @@ class Aggregation:
         if self.column is None and self.fn != "count":
             raise ValueError(f"{self.fn} requires a column")
 
-    def expr(self) -> Column:
-        """The Spark aggregate expression for this aggregation."""
-        if self.fn == "count":
-            target = F.lit(1) if self.column is None else F.col(self.column)
-            return F.count(target).alias(self.alias)
-        return getattr(F, {"mean": "avg"}.get(self.fn, self.fn))(
-            F.col(self.column)
-        ).alias(self.alias)
+    def expr(self) -> str:
+        """The Spark SQL aggregate expression for this aggregation."""
+        target = "1" if self.column is None else quote(self.column)
+        fn = {"mean": "avg"}.get(self.fn, self.fn)
+        return f"{fn}({target}) AS {quote(self.alias)}"
 
 
 class Step:
@@ -131,7 +160,7 @@ class FilterStep(Step):
         return self.d_in
 
     def apply_annotated(self, annotated: DataFrame) -> DataFrame:
-        return annotated.filter(F.expr(self.predicate))
+        return annotated.where(self.predicate)
 
 
 @dataclass
@@ -232,7 +261,8 @@ class GroupByStep(Step):
         extra = pid_columns(annotated)
         if extra:
             annotated = annotated.drop(*extra)
-        return annotated.groupBy(*self.keys).agg(*[a.expr() for a in self.aggs])
+        keys = [quote(k) for k in self.keys]
+        return annotated.groupBy(*keys).agg(*[F.expr(a.expr()) for a in self.aggs])
 
     # ---- leave-one-out machinery -------------------------------------
     def partial_aggregates(
@@ -246,18 +276,10 @@ class GroupByStep(Step):
         raw row count per cell (to detect groups that vanish entirely when
         a set is removed).
         """
-        exprs: list[Column] = [F.count(F.lit(1)).alias("__n")]
+        exprs = ["count(1) AS __n"]
         for a in self.aggs:
-            if a.fn == "mean":
-                exprs.append(F.sum(a.column).alias(f"__sum__{a.alias}"))
-                exprs.append(F.count(a.column).alias(f"__cnt__{a.alias}"))
-            elif a.fn == "sum":
-                exprs.append(F.sum(a.column).alias(f"__sum__{a.alias}"))
-            elif a.fn == "count":
-                target = F.lit(1) if a.column is None else F.col(a.column)
-                exprs.append(F.count(target).alias(f"__cnt__{a.alias}"))
-            elif a.fn == "min":
-                exprs.append(F.min(a.column).alias(f"__min__{a.alias}"))
-            elif a.fn == "max":
-                exprs.append(F.max(a.column).alias(f"__max__{a.alias}"))
-        return annotated.groupBy(*self.keys, *by).agg(*exprs)
+            target = "1" if a.column is None else quote(a.column)
+            for fn, part in _PARTIALS[a.fn]:
+                exprs.append(f"{fn}({target}) AS {quote(f'__{part}__{a.alias}')}")
+        keys = [quote(k) for k in (*self.keys, *by)]
+        return annotated.groupBy(*keys).agg(*[F.expr(e) for e in exprs])

@@ -3,7 +3,9 @@
 A :class:`Partition` divides an input dataframe into ``n`` disjoint
 sets-of-rows plus an ignore-set, realized as an integer annotation column
 ``__pid`` (``0..n-1``; ignore-set = ``IGNORE_PID``) added by a pure Spark
-expression (a broadcast-free ``when``-chain — no shuffle, no join).
+expression — no shuffle, no join: a ``CASE`` over the quantile bounds, as
+SQL text, or a ``coalesce`` of one ``when`` per top value, with the values
+as literals.
 
 Three methods, as in the paper:
 
@@ -52,11 +54,11 @@ import math
 import weakref
 from dataclasses import dataclass, field
 
-from pyspark.sql import Column, DataFrame, Window
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.interestingness import input_profile, is_numeric, present
-from repro.core.model import IGNORE_PID, PID
+from repro.core.model import IGNORE_PID, PID, quote, sql_double
 
 
 @dataclass
@@ -122,24 +124,19 @@ def _melt_values(df: DataFrame, cols: list[str], *keep: str) -> DataFrame:
     column's values exactly as ``groupBy(column)`` would, and ordering by
     the slots orders them by typed value.
     """
-    types = [df.schema[c].dataType for c in cols]
-    elems = [
-        F.when(
-            present(df, c),
-            F.struct(
-                F.lit(i).alias("__k"),
-                *[
-                    (F.col(c) if j == i else F.lit(None).cast(t)).alias(f"__v{j}")
-                    for j, t in enumerate(types)
-                ],
-            ),
+    types = [df.schema[c].dataType.simpleString() for c in cols]
+    elems = []
+    for i, c in enumerate(cols):
+        slots = ", ".join(
+            f"'__v{j}', {quote(c) if j == i else f'CAST(NULL AS {t})'}"
+            for j, t in enumerate(types)
         )
-        for i, c in enumerate(cols)
-    ]
+        elems.append(f"CASE WHEN {present(df, c)} THEN named_struct('__k', {i}, {slots}) END")
+    keep_cols = [quote(c) for c in keep]
     return (
-        df.select(F.explode(F.array(*elems)).alias("__kv"), *keep)
-        .where(F.col("__kv").isNotNull())
-        .select("__kv.*", *keep)
+        df.selectExpr(f"explode(array({', '.join(elems)})) AS __kv", *keep_cols)
+        .where("__kv IS NOT NULL")
+        .selectExpr("__kv.*", *keep_cols)
     )
 
 
@@ -161,22 +158,22 @@ def value_scan(
     slots = [f"__v{i}" for i in range(len(cols))]
     codes = [f"__c{i}" for i in range(len(candidates))]
     per_value = [
-        F.when(F.min(c).isNull(), 0).when(F.min(c) == F.max(c), 1).otherwise(2).alias(code)
-        for c, code in zip(candidates, codes)
+        f"CASE WHEN min({q}) IS NULL THEN 0 WHEN min({q}) = max({q}) THEN 1 ELSE 2 END AS {code}"
+        for q, code in zip(map(quote, candidates), codes)
     ]
-    rank = Window.partitionBy("__k").orderBy(F.desc("__cnt"), *[F.asc(s) for s in slots])
-    whole = rank.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
+    rank = f"PARTITION BY __k ORDER BY {', '.join(['__cnt DESC'] + [f'{s} ASC' for s in slots])}"
+    whole = f"{rank} ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING"
     rows = (
         _melt_values(df, cols, *candidates)
         .groupBy("__k", *slots)
-        .agg(F.count(F.lit(1)).alias("__cnt"), *per_value)
-        .select(
+        .agg(F.expr("count(1) AS __cnt"), *map(F.expr, per_value))
+        .selectExpr(
             "__k",
             *slots,
-            F.row_number().over(rank).alias("__rank"),
-            *[F.max(code).over(whole).alias(code) for code in codes],
+            f"row_number() OVER ({rank}) AS __rank",
+            *[f"max({code}) OVER ({whole}) AS {code}" for code in codes],
         )
-        .where(F.col("__rank") <= n)
+        .where(f"__rank <= {n}")
         .collect()
     )
     top: dict[str, list] = {c: [] for c in cols}
@@ -243,8 +240,9 @@ def partition_stats(
             probs.extend(grid)
         # Nulls and NaNs are left out of each numeric attribute's range and
         # quantiles, as ``na.drop`` on that attribute alone would.
-        kept = [F.when(present(d_in, a), F.col(a)).alias(a) for a in q_attrs]
-        qss = d_in.select(*kept).approxQuantile(q_attrs, probs, 1e-3)
+        names = [quote(a) for a in q_attrs]
+        kept = [f"CASE WHEN {present(d_in, a)} THEN {q} END AS {q}" for a, q in zip(q_attrs, names)]
+        qss = d_in.selectExpr(*kept).approxQuantile(names, probs, 1e-3)
         for a, qs in zip(q_attrs, qss):
             for n, (lo, hi) in spans.items():
                 memo.quantiles.setdefault((a, n), qs[lo:hi])
@@ -292,10 +290,13 @@ def frequency_partition(stats: PartitionStats, attr: str, n: int) -> Partition |
     values = stats.top[attr][:n]
     if len(values) < 2:
         return None
-    pid = F.lit(IGNORE_PID)
-    # Build the when-chain in reverse so earlier (more frequent) values win.
-    for i in reversed(range(len(values))):
-        pid = F.when(F.col(attr) == F.lit(values[i]), F.lit(i)).otherwise(pid)
+    # The values come from the user's table: Spark gets them as literals,
+    # never as SQL text. They are distinct, so at most one set matches.
+    col = F.expr(quote(attr))
+    pid = F.coalesce(
+        *[F.when(F.equal_null(col, F.lit(v)), F.lit(i)) for i, v in enumerate(values)],
+        F.lit(IGNORE_PID),
+    )
     return Partition(
         base=stats.d_in,
         pid=pid,
@@ -322,10 +323,9 @@ def numeric_partition(stats: PartitionStats, attr: str, n: int) -> Partition | N
         return None
     bounds = sorted(set(qs))
     # Intervals: (-inf, b0], (b0, b1], ..., (b_last, +inf)
-    pid = F.lit(len(bounds))
-    for i in reversed(range(len(bounds))):
-        pid = F.when(F.col(attr) <= F.lit(bounds[i]), F.lit(i)).otherwise(pid)
-    pid = F.when(F.col(attr).isNull(), F.lit(IGNORE_PID)).otherwise(pid)
+    q = quote(attr)
+    sets = " ".join(f"WHEN {q} <= {sql_double(b)} THEN {i}" for i, b in enumerate(bounds))
+    pid = F.expr(f"CASE WHEN {q} IS NULL THEN {IGNORE_PID} {sets} ELSE {len(bounds)} END")
     edges = [lo, *bounds, hi]
     labels = {
         i: f"[{_fmt(edges[i])}, {_fmt(edges[i + 1])}]"

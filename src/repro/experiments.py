@@ -17,7 +17,7 @@ from repro.baselines.io_baseline import io_explain
 from repro.baselines.rath import RathOOMError, rath_insights
 from repro.baselines.seedb import UnsupportedStepError, seedb_views
 from repro.core.explain import Fedex, FedexConfig
-from repro.core.model import FilterStep, GroupByStep, JoinStep
+from repro.core.model import FilterStep
 from repro.metrics.ranking import kendall_tau_distance, ndcg, precision_at_k
 from repro.studysim import judge as J
 from repro.studysim.unassisted import count_insights
@@ -26,7 +26,6 @@ from repro.workload.queries import (
     NOTEBOOKS,
     SCALES,
     DatasetBundle,
-    WorkloadQuery,
     make_bundle,
 )
 

@@ -5,6 +5,7 @@ filter is explained by 2010s songs via the 'decade' column, and the
 loudness-by-year group-by is explained by the quiet 1990s via the
 many-to-one 'year'→'decade' partition.
 """
+import threading
 import uuid
 import weakref
 
@@ -465,6 +466,44 @@ class TestPhase1JobBudget:
         assert fx.interesting_columns(step) == Fedex().interesting_columns(step)
 
 
+class TestDriverRoundTrips:
+    """Expressions reach the JVM as SQL text, one call per query, so the
+    driver's py4j round trips do not grow with the scored columns."""
+
+    @staticmethod
+    def _round_trips(spark, monkeypatch, fn) -> int:
+        """py4j commands ``fn()`` sends from the calling thread. py4j's
+        finalizer thread sends the deletes of freed Java references
+        whenever it gets to them, so those are not counted."""
+        client = spark.sparkContext._gateway._gateway_client
+        send, sent, caller = client.send_command, [0], threading.get_ident()
+
+        def counted(*args, **kwargs):
+            sent[0] += threading.get_ident() == caller
+            return send(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(client, "send_command", counted)
+            fn()
+        return sent[0]
+
+    def test_phase1_constant_in_scored_columns(self, spark, small_bank, monkeypatch):
+        cols = interestingness.scoreable_columns(BY_NUM[11].build(small_bank))
+        assert len(cols) > 10
+
+        def trips(columns):  # on a new DataFrame: the profile is included
+            step = BY_NUM[11].build(_fresh(spark, small_bank))
+            fx = Fedex(FedexConfig(columns=columns))
+            return self._round_trips(spark, monkeypatch, lambda: fx.interesting_columns(step))
+
+        trips(cols)  # warm-up
+        assert trips(cols) - trips(cols[:3]) <= 2 * (len(cols) - 3)
+
+    def test_explain_q11(self, spark, monkeypatch):
+        step = BY_NUM[11].build(make_bundle(spark, "bank", scale="test"))
+        assert self._round_trips(spark, monkeypatch, lambda: Fedex().explain(step)) <= 3000
+
+
 class TestPartitionStatsReuse:
     """A step over attributes an earlier step partitioned on the same
     DataFrame builds its partitions without a Spark job, and explains
@@ -562,6 +601,42 @@ class TestInputProfileReuse:
         again = _spark_jobs(spark, lambda: fx.explain(BY_NUM[27].build(fresh)))
         assert log.computed == [bank, fresh.spark_tables["bank"]]
         assert first == again > same
+
+
+class TestQuotedColumnNames:
+    """A column whose name holds a ``.`` or a backtick is explained as the
+    same column under a plain name: every reference to it is quoted."""
+
+    @staticmethod
+    def _candidates(spark, small_bank, name):
+        pdf = small_bank.pandas_tables["bank"].rename(columns={"Customer_Age": name})
+        df = spark.createDataFrame(pdf)
+        steps = [
+            (FilterStep(df, "Attrition_Flag != 'Existing Customer'"), [name, "Credit_Used"]),
+            (GroupByStep(df, [name], [Aggregation("mean", "Credit_Used", "mean_used")]), None),
+        ]
+
+        def ident(e):
+            fields = (e.column, e.attr, e.method, e.via, e.n_sets, e.set_label, e.caption)
+            return [v.replace(name, "Customer_Age") if isinstance(v, str) else v for v in fields]
+
+        return [
+            (ident(e), (e.interestingness, e.contribution, e.std_contribution))
+            for step, columns in steps
+            for e in Fedex(FedexConfig(columns=columns)).candidates(step)
+        ]
+
+    @pytest.fixture(scope="class")
+    def plain(self, spark, small_bank):
+        return self._candidates(spark, small_bank, "Customer_Age")
+
+    @pytest.mark.parametrize("name", ["Customer.Age", "Customer`Age"])
+    def test_same_candidates_as_plain_name(self, spark, small_bank, plain, name):
+        got = self._candidates(spark, small_bank, name)
+        assert any(ident[1] == "Customer_Age" for ident, _ in plain)
+        assert [ident for ident, _ in got] == [ident for ident, _ in plain]
+        for (_, scores), (_, expected) in zip(got, plain):
+            assert scores == pytest.approx(expected, abs=1e-9)
 
 
 class TestDegenerateShares:

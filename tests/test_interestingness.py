@@ -237,7 +237,7 @@ class TestInputProfile:
         # lo/hi: partition_stats' min/max with nulls and NaNs left out.
         profile = input_profile(df)
         numeric = ["d", "f", "i", "n"]
-        kept = {c: F.when(present(df, c), F.col(c)) for c in numeric}
+        kept = {c: F.when(F.expr(present(df, c)), F.col(c)) for c in numeric}
         row = df.agg(
             *[F.min(c).alias(f"raw_lo_{c}") for c in numeric],
             *[F.max(c).alias(f"raw_hi_{c}") for c in numeric],

@@ -2,12 +2,14 @@
 import datetime as dt
 import gc
 import weakref
+from decimal import Decimal
 
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core import partition
 from repro.core.interestingness import input_profile, present
@@ -357,6 +359,65 @@ class TestValueScan:
             assert stats.top[c] == self._oracle(pdf[c], 5), c
 
 
+class TestLiteralFidelity:
+    """Set ids reach Spark as literals of the collected values (frequency)
+    or as SQL text of the quantile bounds (numeric); either way every row
+    gets the set id of the ``==`` / ``<=`` when-chain over the same
+    values, on every value type."""
+
+    @pytest.fixture(scope="class")
+    def table(self, spark):
+        g = np.random.default_rng(11)
+        inf, nan = float("inf"), float("nan")
+        domains = {
+            "s string": ["it's", "back\\slash", "new\nline", "naïve 日本", "plain", None],
+            "i int": [1, 2, 3, -4, None],
+            "l long": [2**31 + 5, 2**40, -(2**33), 7, None],
+            "d double": [-0.0, 0.0, inf, -inf, nan, 1.5, None],
+            "f float": [0.1, 2.5, nan, -1.25, None],
+            "b boolean": [True, False, None],
+            "t date": [dt.date(2020, 1, 1), dt.date(1999, 12, 31), None],
+            "m decimal(10,2)": [Decimal("1.23"), Decimal("-4.50"), Decimal("99999999.99"), None],
+        }
+        picks = [[d[i] for i in g.integers(0, len(d), 150)] for d in domains.values()]
+        return spark.createDataFrame(list(zip(*picks)), ", ".join(domains))
+
+    @staticmethod
+    def _ids(df, got, want):
+        rows = df.select(got.alias("got"), want.alias("want")).collect()
+        return [r.got for r in rows], [r.want for r in rows]
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_frequency_ids_match_when_chain(self, table, n):
+        stats = partition_stats(table, table.columns, (n,))
+        for a in table.columns:
+            p = frequency_partition(stats, a, n)
+            values = stats.top[a][:n]
+            want = F.lit(IGNORE_PID)
+            for i in reversed(range(len(values))):
+                want = F.when(F.col(a) == F.lit(values[i]), F.lit(i)).otherwise(want)
+            got, expected = self._ids(table, p.pid, want)
+            assert got == expected, a
+            assert set(got) >= {0, 1}, a
+            assert table.select(p.pid).schema[0].dataType == T.IntegerType(), a
+
+    def test_numeric_infinite_bounds_keep_ids_and_labels(self, spark):
+        inf, nan = float("inf"), float("nan")
+        values = [-inf] * 30 + [float(v) for v in range(1, 41)] + [inf] * 30 + [nan, None]
+        df = spark.createDataFrame([(v,) for v in values], "x double")
+        stats = partition_stats(df, ["x"], (4,))
+        p = numeric_partition(stats, "x", 4)
+        bounds = sorted(set(stats.quantiles["x"][4]))
+        assert bounds[0] == -inf and bounds[-1] == inf
+        want = F.lit(len(bounds))
+        for i in reversed(range(len(bounds))):
+            want = F.when(F.col("x") <= F.lit(bounds[i]), F.lit(i)).otherwise(want)
+        want = F.when(F.col("x").isNull(), F.lit(IGNORE_PID)).otherwise(want)
+        got, expected = self._ids(df, p.pid, want)
+        assert got == expected
+        assert p.labels == {0: "[-inf, -inf]", 1: "[-inf, 20]", 2: "[20, inf]", 3: "[inf, inf]"}
+
+
 class TestStatsActions:
     """``partition_stats`` on a profiled input: one ``collect`` for every
     categorical attribute, one ``approxQuantile`` more for numeric ones."""
@@ -402,7 +463,7 @@ class TestStatsMemo:
         )
         stats = partition_stats(df, ["artist", "loudness", "decade"], (5, 10))
         assert [c for c in scans if c] == [["decade"]]
-        assert quantiles == [["decade"]]
+        assert quantiles == [["`decade`"]]  # quoted column names
         assert _same_stats(stats, partition_stats(songs.select("*"), ["artist", "loudness", "decade"]))
 
     def test_more_sets_match_a_new_dataframe(self, songs):
