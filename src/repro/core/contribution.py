@@ -12,11 +12,14 @@ every set-of-rows R in a partition. Recomputing ``q`` per set would cost
   aggregates of the input and output columns, computed **once**, determine
   every leave-one-out KS by column subtraction
   (:func:`repro.core.reference.leave_one_out_ks`).
-* **group-by** — per-``(group, __pid)`` algebraic partials (sum/count/
-  min/max), computed once, recombine into every leave-one-out aggregate;
-  groups whose rows all belonged to the removed set vanish, exactly as if
-  the query had been re-run (Def. 3.3 semantics, asserted by tests against
-  the naive recompute).
+* **group-by** — per-``(group, __pid)`` algebraic partials
+  (:data:`repro.core.model.AGGREGATES`), computed once and pivoted to one
+  row per group and one column per (partial, set), give every
+  leave-one-out aggregate: removing set ``i`` merges each row over the set
+  columns other than ``i``, as removing it from a per-(value, set) count
+  table drops one column; groups whose rows all belonged to the removed
+  set vanish, exactly as if the query had been re-run (Def. 3.3
+  semantics, asserted by tests against the naive recompute).
 
 Job budget per partitioned input, whatever the number of partitions and
 scored columns (SeeDB-style shared computation, Vartak et al. 2015):
@@ -148,47 +151,6 @@ def _shares(counts: pd.DataFrame | None, set_ids: list[int]) -> dict[int, float]
     return {i: int(per_set.get(i, 0)) / total if total else 0.0 for i in set_ids}
 
 
-def _recombine(partials: pd.DataFrame, step: GroupByStep, keep: pd.Series) -> pd.DataFrame:
-    """Combine per-(group, set) partials over the sets selected by ``keep``
-    into per-group aggregate values — the dataframe ``q(D_in − R)`` would
-    produce. Groups left with zero rows disappear, as in a real re-run."""
-    sub = partials[keep]
-    if sub.empty:
-        return pd.DataFrame(columns=step.keys + [a.alias for a in step.aggs])
-    spec: dict[str, tuple] = {"__n": ("__n", "sum")}
-    for a in step.aggs:
-        if a.fn == "mean":
-            spec[f"__sum__{a.alias}"] = (f"__sum__{a.alias}", "sum")
-            spec[f"__cnt__{a.alias}"] = (f"__cnt__{a.alias}", "sum")
-        elif a.fn == "sum":
-            spec[f"__sum__{a.alias}"] = (f"__sum__{a.alias}", "sum")
-        elif a.fn == "count":
-            spec[f"__cnt__{a.alias}"] = (f"__cnt__{a.alias}", "sum")
-        elif a.fn == "min":
-            spec[f"__min__{a.alias}"] = (f"__min__{a.alias}", "min")
-        elif a.fn == "max":
-            spec[f"__max__{a.alias}"] = (f"__max__{a.alias}", "max")
-    g = sub.groupby(step.keys, dropna=False, as_index=False).agg(**spec)
-    g = g[g["__n"] > 0]
-    out = g[step.keys].copy()
-    for a in step.aggs:
-        if a.fn == "mean":
-            cnt = g[f"__cnt__{a.alias}"].to_numpy(float)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out[a.alias] = np.where(
-                    cnt > 0, g[f"__sum__{a.alias}"].to_numpy(float) / cnt, np.nan
-                )
-        elif a.fn == "sum":
-            out[a.alias] = g[f"__sum__{a.alias}"]
-        elif a.fn == "count":
-            out[a.alias] = g[f"__cnt__{a.alias}"]
-        elif a.fn == "min":
-            out[a.alias] = g[f"__min__{a.alias}"]
-        elif a.fn == "max":
-            out[a.alias] = g[f"__max__{a.alias}"]
-    return out
-
-
 def diversity_contributions_multi(
     step: GroupByStep,
     groups: list[tuple[Partition, list[str]]],
@@ -211,8 +173,7 @@ def diversity_contributions_multi(
     results: list[ContributionResult] = []
     for k, (partition, columns) in enumerate(groups):
         if k in by_k:
-            partials = by_k[k].drop(columns="__k").reset_index(drop=True)
-            results += _diversity_results(step, partition, columns, partials)
+            results += _diversity_results(step, partition, columns, by_k[k].drop(columns="__k"))
     return results
 
 
@@ -222,38 +183,43 @@ def _diversity_results(
     columns: list[str],
     partials: pd.DataFrame,
 ) -> list[ContributionResult]:
-    """One partition's CV contributions from its per-(group, set) partials.
-    Caption statistics ``overall_mean``/``overall_std`` are
-    :func:`~repro.core.reference.mean_std` of the group values: both 0.0
-    where CV is 0.0 for a non-finite moment or fewer than two groups."""
-    full_vals = _recombine(partials, step, partials[PID].notna())
-    loo_vals = {
-        i: _recombine(partials, step, partials[PID] != i)
-        for i in partition.set_ids
-    }
-    # Dominant set per group (by row count) — caption attribution only.
-    dom = (
-        partials.groupby(step.keys, dropna=False)
-        .apply(lambda g: g.loc[g["__n"].idxmax(), PID], include_groups=False)
-        .rename("__dom")
-        .reset_index()
-    )
-    full_dom = full_vals.merge(dom, on=step.keys, how="left")
+    """One partition's CV contributions from its per-(group, set) partials,
+    pivoted once to one row per group and one column per (partial, set).
+    The output without set i merges every row over the set columns other
+    than i, and a group none of whose rows are kept vanishes, as in a
+    re-run of ``q``. Caption statistics: each set's mean over the groups
+    it holds most rows of (a tie goes to the lowest set id), and
+    ``overall_mean``/``overall_std``, :func:`~repro.core.reference.mean_std`
+    of all groups' values: both 0.0 where CV is 0.0 for a non-finite
+    moment or fewer than two groups."""
+    values = ["__n", *(col for a in step.aggs for col in a.partials())]
+    piv = partials.set_index([c for c in partials.columns if c not in values]).unstack(PID)
+    sets = piv["__n"].columns.to_numpy()
+    rows = piv["__n"].to_numpy(float)
+    keys = piv.index.to_frame(index=False)
+    aggs = {a.alias: a for a in step.aggs if a.alias in columns}
+    cells = {col: piv[col].to_numpy(float) for a in aggs.values() for col in a.partials()}
+
+    def output(kept: np.ndarray) -> dict[str, np.ndarray]:
+        """The scored columns of ``q`` over the ``kept`` sets' rows."""
+        present = np.nansum(rows[:, kept], axis=1) > 0
+        return {
+            c: aggs[c].combine(lambda col: cells[col][present][:, kept])
+            if c in aggs
+            else keys[c].to_numpy()[present]
+            for c in columns
+        }
+
+    full = output(np.ones(len(sets), bool))
+    loo = {i: output(sets != i) for i in partition.set_ids}
+    dominant = sets[np.argmax(np.nan_to_num(rows), axis=1)]
     results: list[ContributionResult] = []
     for c in columns:
-        if c not in full_vals.columns:
-            continue
-        full_cv = reference.cv(full_vals[c])
-        contribs = {
-            i: full_cv - reference.cv(loo_vals[i][c]) if c in loo_vals[i] else 0.0
-            for i in partition.set_ids
-        }
-        overall_mean, overall_std = reference.mean_std(full_vals[c])
+        full_cv = reference.cv(full[c])
+        overall_mean, overall_std = reference.mean_std(full[c])
         stats = {}
         for i in partition.set_ids:
-            vals = pd.to_numeric(
-                full_dom.loc[full_dom["__dom"] == i, c], errors="coerce"
-            ).dropna()
+            vals = pd.Series(full[c][dominant == i], dtype=float).dropna()
             stats[i] = {
                 "set_mean": float(vals.mean()) if len(vals) else float("nan"),
                 "n_groups": int(len(vals)),
@@ -263,7 +229,7 @@ def _diversity_results(
                 column=c,
                 partition=partition,
                 score_full=full_cv,
-                contributions=contribs,
+                contributions={i: full_cv - reference.cv(loo[i][c]) for i in partition.set_ids},
                 stats=stats,
                 extra={"overall_mean": overall_mean, "overall_std": overall_std},
             )

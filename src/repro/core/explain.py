@@ -233,7 +233,7 @@ class Fedex:
         std_c: float,
     ) -> Explanation:
         label = p.labels[set_id]
-        stats = res.stats.get(set_id, {})
+        stats = res.stats[set_id]
         if isinstance(step, GroupByStep):
             caption = captions.diversity_caption(
                 column=res.column,
@@ -241,9 +241,9 @@ class Fedex:
                 method=p.method,
                 via=p.via,
                 label=label,
-                set_mean=stats.get("set_mean", float("nan")),
-                overall_mean=res.extra.get("overall_mean", float("nan")),
-                overall_std=res.extra.get("overall_std", 0.0),
+                set_mean=stats["set_mean"],
+                overall_mean=res.extra["overall_mean"],
+                overall_std=res.extra["overall_std"],
                 interestingness=interest,
                 std_contribution=std_c,
             )
@@ -255,8 +255,8 @@ class Fedex:
                 method=p.method,
                 via=p.via,
                 label=label,
-                share_in=stats.get("share_in", 0.0),
-                share_out=stats.get("share_out", 0.0),
+                share_in=stats["share_in"],
+                share_out=stats["share_out"],
                 interestingness=interest,
                 std_contribution=std_c,
             )

@@ -13,6 +13,11 @@ its input dataframe(s). Each step class knows how to
   filter/join/union, and to dropping set ``i``'s partial aggregates for
   group-by.
 
+:data:`AGGREGATES` is the aggregate algebra of group-by steps: each
+function's Spark SQL aggregate and the partials it is recombined from
+(:meth:`Aggregation.combine`). A new aggregate function over the existing
+kinds of partial is one entry there.
+
 The internal annotation column name is :data:`PID`. Rows annotated with
 ``IGNORE_PID`` belong to the ignore-set (Def. 3.8) or to inputs that are
 not being partitioned; they are never removed in an intervention.
@@ -21,8 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
+from typing import Callable
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -61,17 +68,28 @@ def sql_double(x: float) -> str:
     return f"{float(x)!r}D" if math.isfinite(x) else _NON_FINITE[x]
 
 
-#: Aggregate functions supported by group-by steps. Each is algebraic so
-#: leave-one-out aggregates can be combined from per-set partials.
-AGG_FNS = ("mean", "sum", "count", "min", "max")
-#: The partials each aggregate function is recombined from, as (SQL
-#: function, partial column prefix).
-_PARTIALS = {
-    "mean": (("sum", "sum"), ("count", "cnt")),
-    "sum": (("sum", "sum"),),
-    "count": (("count", "cnt"),),
-    "min": (("min", "min"),),
-    "max": (("max", "max"),),
+#: The aggregate algebra of group-by steps: fn -> (Spark SQL aggregate, the
+#: SQL aggregates of its partials). Every function is distributive or
+#: algebraic (Gray et al., "Data Cube", ICDE 1996), so its value over any
+#: union of sets-of-rows follows from per-set partials: the merged partial,
+#: or the first over the second where there are two (a mean's sum / count).
+AGGREGATES = {
+    "mean": ("avg", ("sum", "count")),
+    "sum": ("sum", ("sum",)),
+    "count": ("count", ("count",)),
+    "min": ("min", ("min",)),
+    "max": ("max", ("max",)),
+}
+AGG_FNS = tuple(AGGREGATES)
+#: Each partial's column prefix and its merge across sets, by SQL aggregate.
+#: A merge skips NaN, the cell of a set that holds none of the group's rows:
+#: sums and counts add (0 over no rows), minima and maxima keep the least
+#: and the greatest (NaN over no rows).
+_PARTIAL = {
+    "sum": ("sum", np.nansum),
+    "count": ("cnt", np.nansum),
+    "min": ("min", partial(np.fmin.reduce, initial=np.nan)),
+    "max": ("max", partial(np.fmax.reduce, initial=np.nan)),
 }
 
 
@@ -92,11 +110,30 @@ class Aggregation:
         if self.column is None and self.fn != "count":
             raise ValueError(f"{self.fn} requires a column")
 
+    @property
+    def target(self) -> str:
+        """The aggregated column as SQL (``1`` for ``count(*)``)."""
+        return "1" if self.column is None else quote(self.column)
+
     def expr(self) -> str:
         """The Spark SQL aggregate expression for this aggregation."""
-        target = "1" if self.column is None else quote(self.column)
-        fn = {"mean": "avg"}.get(self.fn, self.fn)
-        return f"{fn}({target}) AS {quote(self.alias)}"
+        return f"{AGGREGATES[self.fn][0]}({self.target}) AS {quote(self.alias)}"
+
+    def partials(self) -> dict[str, str]:
+        """The SQL aggregate of each partial this aggregation is recombined
+        from, by partial column (``__sum__<alias>``, ``__cnt__<alias>``...)."""
+        return {f"__{_PARTIAL[fn][0]}__{self.alias}": fn for fn in AGGREGATES[self.fn][1]}
+
+    def combine(self, cells: Callable[[str], np.ndarray]) -> np.ndarray:
+        """This aggregation's value per group over a union of sets, from
+        ``cells(column)``: each partial's (group × set) cells of those
+        sets, NaN where a set holds none of the group's rows."""
+        merged = [_PARTIAL[fn][1](cells(col), axis=1) for col, fn in self.partials().items()]
+        if len(merged) == 1:
+            return merged[0]
+        total, count = merged
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(count > 0, total / count, np.nan)
 
 
 class Step:
@@ -255,12 +292,6 @@ class GroupByStep(Step):
         return self.d_in
 
     def apply_annotated(self, annotated: DataFrame) -> DataFrame:
-        # __pid columns on the input are *not* propagated through a
-        # group-by (groups mix rows of several sets); contribution.py uses
-        # partial_aggregates() instead.
-        extra = pid_columns(annotated)
-        if extra:
-            annotated = annotated.drop(*extra)
         keys = [quote(k) for k in self.keys]
         return annotated.groupBy(*keys).agg(*[F.expr(a.expr()) for a in self.aggs])
 
@@ -268,18 +299,21 @@ class GroupByStep(Step):
     def partial_aggregates(
         self, annotated: DataFrame, by: tuple[str, ...] = (PID,)
     ) -> DataFrame:
-        """Per-``(keys, *by)`` algebraic partials, one Spark aggregate.
-
-        For every aggregation we emit the partials needed to recombine a
-        leave-one-set-out aggregate on the driver: sum+count for mean,
-        sum for sum, count for count, min/max for min/max. ``__n`` is the
-        raw row count per cell (to detect groups that vanish entirely when
-        a set is removed).
+        """Per-``(keys, *by)`` algebraic partials, one Spark aggregate: every
+        aggregation's :meth:`Aggregation.partials`, and ``__n``, the raw row
+        count per cell (a group vanishes when no kept set holds its rows).
+        A floating-point key ``k`` also groups by ``__nan__<k>``, whether it
+        is NaN: Spark keeps a NaN key's group apart from the null key's,
+        and pandas reads both keys as NaN.
         """
-        exprs = ["count(1) AS __n"]
-        for a in self.aggs:
-            target = "1" if a.column is None else quote(a.column)
-            for fn, part in _PARTIALS[a.fn]:
-                exprs.append(f"{fn}({target}) AS {quote(f'__{part}__{a.alias}')}")
+        exprs = ["count(1) AS __n"] + [
+            f"{fn}({a.target}) AS {quote(col)}" for a in self.aggs for col, fn in a.partials().items()
+        ]
+        types = dict(annotated.dtypes)
+        nan = [
+            F.expr(f"isnan({quote(k)}) AS {quote(f'__nan__{k}')}")
+            for k in self.keys
+            if types[k] in ("double", "float")
+        ]
         keys = [quote(k) for k in (*self.keys, *by)]
-        return annotated.groupBy(*keys).agg(*[F.expr(e) for e in exprs])
+        return annotated.groupBy(*keys, *nan).agg(*[F.expr(e) for e in exprs])

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -349,17 +349,7 @@ def many_to_one_partitions(stats: PartitionStats, attr: str, n: int) -> list[Par
     for b in stats.fd[attr]:
         p = frequency_partition(stats, b, n)
         if p is not None:
-            out.append(
-                Partition(
-                    base=p.base,
-                    pid=p.pid,
-                    attr=attr,
-                    method="many_to_one",
-                    labels=p.labels,
-                    via=b,
-                    n_requested=n,
-                )
-            )
+            out.append(replace(p, attr=attr, method="many_to_one", via=b))
     return out
 
 

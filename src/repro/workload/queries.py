@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.model import Aggregation, FilterStep, GroupByStep, JoinStep, Step
+from repro.core.model import AGGREGATES, Aggregation, FilterStep, GroupByStep, JoinStep, Step
 from repro.datasets.bank import bank_pdf
 from repro.datasets.products import (
     _pandas_prefixed,
@@ -128,8 +128,7 @@ def _gb_sql(table: str, keys: list[str], aggs: list[Aggregation]) -> str:
     sel = ", ".join(
         keys
         + [
-            f"{('avg' if a.fn == 'mean' else a.fn)}"
-            f"({'*' if a.column is None else a.column}) AS {a.alias}"
+            f"{AGGREGATES[a.fn][0]}({'*' if a.column is None else a.column}) AS {a.alias}"
             for a in aggs
         ]
     )

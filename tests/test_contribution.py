@@ -14,7 +14,7 @@ from repro.core.contribution import (
     exceptionality_contributions_multi,
     naive_contribution,
 )
-from repro.core.model import Aggregation, FilterStep, GroupByStep, JoinStep, UnionStep
+from repro.core.model import AGG_FNS, Aggregation, FilterStep, GroupByStep, JoinStep, UnionStep
 from repro.core.partition import (
     frequency_partition,
     numeric_partition,
@@ -65,6 +65,15 @@ def genre_songs(spark, songs_pdf):
     other = g.choice(["rock", "jazz", "folk"], n)
     pop = (songs_pdf["decade"] == 2010) & (g.random(n) < 0.7)
     return spark.createDataFrame(songs_pdf.assign(genre=np.where(pop, "pop", other)))
+
+
+def _every_agg(columns):
+    """One aggregation per function of ``AGG_FNS``, cycling over
+    ``columns`` (``count`` is ``count(*)``), aliased ``a_<fn>``."""
+    return [
+        Aggregation(fn, None if fn == "count" else columns[i % len(columns)], f"a_{fn}")
+        for i, fn in enumerate(AGG_FNS)
+    ]
 
 
 def _assert_matches_naive(step, results):
@@ -165,19 +174,13 @@ class TestGroupByContribution:
             ), i
 
     def test_matches_naive_all_agg_fns(self, songs):
-        aggs = [
-            Aggregation("mean", "loudness", "a_mean"),
-            Aggregation("sum", "popularity", "a_sum"),
-            Aggregation("count", None, "a_cnt"),
-            Aggregation("min", "loudness", "a_min"),
-            Aggregation("max", "popularity", "a_max"),
-        ]
+        aggs = _every_agg(["loudness", "popularity"])
         step = GroupByStep(songs, ["decade"], aggs)
         p = _freq(songs, "year", 10)
         results = {
             r.column: r for r in diversity_contributions_multi(step, [(p, [a.alias for a in aggs])])
         }
-        for alias in ["a_mean", "a_sum", "a_cnt", "a_min", "a_max"]:
+        for alias in [a.alias for a in aggs]:
             for i in p.set_ids[:4]:
                 assert results[alias].contributions[i] == pytest.approx(
                     naive_contribution(step, p, alias, i), abs=1e-9
@@ -186,13 +189,7 @@ class TestGroupByContribution:
     def test_batched_keys_match_naive_all_agg_fns(self, genre_songs):
         # One engine call over the partitions of both group keys, every
         # aggregate function, equals Def. 3.3 for every set.
-        aggs = [
-            Aggregation("mean", "loudness", "a_mean"),
-            Aggregation("sum", "popularity", "a_sum"),
-            Aggregation("count", None, "a_cnt"),
-            Aggregation("min", "loudness", "a_min"),
-            Aggregation("max", "popularity", "a_max"),
-        ]
+        aggs = _every_agg(["loudness", "popularity"])
         keys = ["decade", "genre"]
         step = GroupByStep(genre_songs, keys, aggs)
         parts = partitions_for_attribute(genre_songs, keys, (5,))
@@ -201,6 +198,59 @@ class TestGroupByContribution:
         results = compute_contributions(step, [(p, aliases) for p in parts])
         assert len(results) == len(parts) * len(aliases)
         _assert_matches_naive(step, results)
+
+    def test_null_and_nan_keys_match_naive(self, spark):
+        # A string key with nulls and a double key with NaN and nulls (two
+        # groups in Spark, both NaN in pandas), partitioned on a non-key
+        # column so those groups span sets; every aggregate function and
+        # the numeric key are scored.
+        g = np.random.default_rng(5)
+        n = 120
+        pdf = pd.DataFrame(
+            {
+                "k": g.choice(["a", "b", None], n),
+                "xi": g.integers(0, 4, n),
+                "v": g.normal(10, 3, n).round(2),
+                "w": g.integers(0, 6, n),
+            }
+        )
+        d = spark.createDataFrame(pdf).selectExpr(
+            "k",
+            "CASE xi WHEN 2 THEN CAST('NaN' AS DOUBLE) WHEN 3 THEN NULL ELSE xi + 0.5 END AS x",
+            "v",
+            "w",
+        )
+        aggs = _every_agg(["v", "w"])
+        step = GroupByStep(d, ["k", "x"], aggs)
+        out = step.output()
+        assert all(out.where(c).count() for c in ("k IS NULL", "x IS NULL", "isnan(x)"))
+        p = _freq(d, "w", 5)
+        columns = ["x", *(a.alias for a in aggs)]
+        results = diversity_contributions_multi(step, [(p, columns)])
+        assert [r.column for r in results] == columns
+        _assert_matches_naive(step, results)
+
+    def test_caption_stats_break_ties_by_lowest_set(self, spark):
+        # Each group's rows split 1:1 between the two sets of a partition
+        # on s: the group goes to the lower set id in every shuffle layout,
+        # not to whichever set's partial Spark returns first.
+        pdf = pd.DataFrame(
+            {"g": list("aabbccdd"), "v": [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0], "s": list("xyxyxyxy")}
+        )
+        d = spark.createDataFrame(pdf)
+        step = GroupByStep(d, ["g"], [Aggregation("mean", "v", "mv")])
+        p = _freq(d, "s", 2)
+        assert p.set_ids == [0, 1]
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        try:
+            for n in ("1", "3", "4", "7", "64", "200"):
+                spark.conf.set(key, n)
+                stats = diversity_contributions_multi(step, [(p, ["mv"])])[0].stats
+                assert stats[0] == {"set_mean": pytest.approx(10.875), "n_groups": 4}, n
+                assert stats[1]["n_groups"] == 0 and np.isnan(stats[1]["set_mean"]), n
+        finally:
+            spark.conf.set(key, before)
 
     def test_planted_quiet_decade_contributes(self, songs):
         # 1990s songs are planted ~4dB quieter: removing them shrinks the
