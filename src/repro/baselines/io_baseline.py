@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.interestingness import step_interestingness
+from repro.core.explain import Fedex, FedexConfig
 from repro.core.model import Step
 
 
@@ -27,7 +27,7 @@ def io_explain(
     step: Step, *, top_k: int = 2, sample_size: int | None = None
 ) -> list[IOExplanation]:
     """Top-k output columns by interestingness (no row sets)."""
-    scores = step_interestingness(step, sample_size=sample_size)
+    scores = Fedex(FedexConfig(sample_size=sample_size)).interesting_columns(step)
     ranked = sorted(scores, key=lambda c: (-scores[c], c))[:top_k]
     return [
         IOExplanation(

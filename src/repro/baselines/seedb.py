@@ -25,8 +25,6 @@ from pyspark.sql import functions as F
 from repro.core.interestingness import is_numeric
 from repro.core.model import GroupByStep, Step
 
-#: Aggregate functions SeeDB considers per (dimension, measure) pair.
-AGGS = ("avg", "sum", "count")
 #: Max distinct values for a usable grouping dimension (SeeDB prunes
 #: high-cardinality dimensions).
 MAX_DIM_CARDINALITY = 50

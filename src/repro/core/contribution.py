@@ -19,7 +19,8 @@ every set-of-rows R in a partition. Recomputing ``q`` per set would cost
   columns other than ``i``, as removing it from a per-(value, set) count
   table drops one column; groups whose rows all belonged to the removed
   set vanish, exactly as if the query had been re-run (Def. 3.3
-  semantics, asserted by tests against the naive recompute).
+  semantics, asserted by tests against the naive recompute). Merged over
+  every set, they are the whole output: its CV, ``score_full``, is ``I_A(Q)``.
 
 Job budget per partitioned input, whatever the number of partitions and
 scored columns (SeeDB-style shared computation, Vartak et al. 2015):

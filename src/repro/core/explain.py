@@ -14,19 +14,23 @@
 
 Candidate pairing follows the paper's examples: exceptionality steps
 partition the input on the scored column itself (plus many-to-one
-ancestors), group-by steps partition on the group keys. See DESIGN.md §1.
+ancestors), group-by steps on the group keys whatever step 1 ranks, so
+their steps 1-4 are one diversity pass whose ``score_full`` per column is
+``I_A(Q)``. See DESIGN.md §1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+from pyspark.sql import functions as F
 
 from repro.core import captions
 from repro.core.contribution import (
     compute_contributions,
     exceptionality_contributions_multi,
 )
-from repro.core.interestingness import step_interestingness
-from repro.core.model import GroupByStep, JoinStep, Step
+from repro.core.interestingness import scoreable_columns, step_interestingness
+from repro.core.model import IGNORE_PID, GroupByStep, JoinStep, Step
 from repro.core.partition import Partition, partitions_for_attribute
 from repro.core.skyline import skyline_indices, weighted_score
 
@@ -37,7 +41,7 @@ class FedexConfig:
 
     n_sets: tuple[int, ...] = (5, 10)  # §4.3: "set to either 5 or 10"
     top_k_columns: int = 3  # greedy step: columns taken to phase 2
-    sample_size: int | None = None  # 5000 → FEDEX-SAMPLING; None → exact
+    sample_size: int | None = None  # KS steps: 5000 → FEDEX-SAMPLING; None → exact
     max_distinct: int = 2000  # KS value-domain compaction threshold
     top_k_explanations: int | None = None  # optional cap after ranking
     columns: list[str] | None = None  # §3.8 user-specified columns
@@ -104,7 +108,10 @@ class Fedex:
 
     # -- phase 1: interestingness ------------------------------------
     def interesting_columns(self, step: Step) -> dict[str, float]:
-        """``I_A(Q)`` per output column (lines 1-2), sampled if configured."""
+        """``I_A(Q)`` per output column (lines 1-2): KS, sampled if
+        configured, or a group-by's CVs from its contribution pass."""
+        if isinstance(step, GroupByStep):
+            return self._diversity_pass(step)[0]
         return step_interestingness(
             step,
             columns=self.config.columns,
@@ -139,39 +146,43 @@ class Fedex:
         pass across many sampled interestingness variants — sampling only
         affects phase 1 (§3.7)."""
         cfg = self.config
-        # Which attributes to partition on each input, and which scored
-        # columns each (input, attribute) serves, in top_cols order: a
-        # group-by step partitions on its keys, any other step on the
-        # scored column itself (the greedy step of §3.7, not Def. 3.5's
-        # full cross space).
-        inputs: dict[int, tuple[Step, dict[str, list[str]]]] = {}
+        if isinstance(step, GroupByStep):
+            if not top_cols:
+                return []
+            # Partitions on the keys; keys that yield none still give every
+            # column its CV, from one partition of ignore-set rows only.
+            partitions = partitions_for_attribute(step.d_in, step.keys, cfg.n_sets) or [
+                Partition(step.d_in, F.lit(IGNORE_PID), ", ".join(step.keys), "none", {})
+            ]
+            groups = [(p, top_cols) for p in partitions]
+            return [(res.partition, res) for res in compute_contributions(step, groups)]
+        # Each input partitions on the scored columns it carries, in top_cols
+        # order: §3.7's greedy step, not Def. 3.5's full cross space.
+        inputs: dict[int, tuple[Step, list[str]]] = {}
         for col in top_cols:
             target_step = self._step_for_column(step, col)
             d_in = target_step.partitioned_input
-            attrs = step.keys if isinstance(step, GroupByStep) else [col]
-            for attr in (a for a in attrs if a in d_in.columns):
-                served = inputs.setdefault(id(d_in), (target_step, {}))[1]
-                served.setdefault(attr, []).append(col)
+            if col in d_in.columns:
+                inputs.setdefault(id(d_in), (target_step, []))[1].append(col)
 
         # One partition build and one contribution pass per input; both
         # cost a fixed number of Spark jobs (see partition.py and
         # contribution.py).
-        engine = (
-            compute_contributions
-            if isinstance(step, GroupByStep)
-            else exceptionality_contributions_multi
-        )
         out: list[tuple[Partition, object]] = []
-        for target_step, served in inputs.values():
-            groups = [
-                (p, served[p.attr])
-                for p in partitions_for_attribute(
-                    target_step.partitioned_input, list(served), cfg.n_sets
-                )
-            ]
-            for res in engine(target_step, groups, max_distinct=cfg.max_distinct):
-                out.append((res.partition, res))
+        for target_step, attrs in inputs.values():
+            parts = partitions_for_attribute(target_step.partitioned_input, attrs, cfg.n_sets)
+            results = exceptionality_contributions_multi(
+                target_step, [(p, [p.attr]) for p in parts], max_distinct=cfg.max_distinct
+            )
+            out += [(res.partition, res) for res in results]
         return out
+
+    def _diversity_pass(self, step: GroupByStep) -> tuple[dict[str, float], list]:
+        """A group-by's ``I_A(Q)`` per scored column, read from its
+        contribution results (0.0 without one: an empty input), and those."""
+        cols = scoreable_columns(step) if self.config.columns is None else self.config.columns
+        results = self.contribution_results(step, cols)
+        return dict.fromkeys(cols, 0.0) | {r.column: r.score_full for _, r in results}, results
 
     def assemble(
         self,
@@ -204,8 +215,11 @@ class Fedex:
         lines 1-12), in presentation order (I, then C̄). ``explain``
         applies the skyline on top; the Fig. 7/8 accuracy metrics compare
         these full rankings."""
-        scores = self.interesting_columns(step)
-        results = self.contribution_results(step, self._top_columns(scores))
+        if isinstance(step, GroupByStep):
+            scores, results = self._diversity_pass(step)
+        else:
+            scores = self.interesting_columns(step)
+            results = self.contribution_results(step, self._top_columns(scores))
         return self.assemble(step, scores, results)
 
     def explain(self, step: Step) -> list[Explanation]:

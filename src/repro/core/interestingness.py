@@ -14,12 +14,12 @@
   for every input side of a step at once;
   ``contribution.exceptionality_contributions_multi`` is phase 2's.
 * **Diversity** (Eq. 2), for group-by steps: the coefficient of variation
-  :func:`repro.core.reference.cv` of each aggregated output column,
-  scored on the collected (one row per group) output.
-* :func:`step_interestingness` — per-output-column scores ``I_A(Q)`` for a
-  whole step, with the paper's §3.7 uniform-sampling optimization
-  (interestingness on a ≤``sample_size``-row sample; contribution later
-  still uses all rows).
+  :func:`repro.core.reference.cv` of each aggregated output column, read
+  by ``Fedex`` from the diversity contribution pass, not scored here.
+* :func:`step_interestingness` — per-output-column KS scores ``I_A(Q)``
+  for a whole filter, join or union step, with the paper's §3.7
+  uniform-sampling optimization (interestingness on a ≤``sample_size``-row
+  sample; contribution later still uses all rows).
 """
 from __future__ import annotations
 
@@ -294,23 +294,6 @@ def _sample_cap(df: DataFrame, sample_size: int | None, seed: int, rows=None) ->
     return df.sample(fraction=min(1.0, sample_size / n * 1.05), seed=seed)
 
 
-def _output_sample(step: Step, sample_size: int | None, seed: int) -> DataFrame:
-    """:func:`_sample_cap` of ``step``'s output. A filter, group-by or
-    union output has at most as many rows as its inputs together, and a
-    group-by output at most one per combination of its keys' values,
-    null included (all read from the profiles); when that bound is at
-    most ``sample_size``, the output is kept whole without being counted.
-    A join's is counted."""
-    rows = None
-    if sample_size is not None and not isinstance(step, JoinStep):
-        bound = sum(input_profile(df).rows for df in step.inputs.values())
-        if isinstance(step, GroupByStep):
-            distinct = input_profile(step.d_in).distinct
-            bound = min(bound, math.prod(distinct[k] + 1 for k in step.keys))
-        rows = bound if bound <= sample_size else None
-    return _sample_cap(step.output(), sample_size, seed, rows)
-
-
 def scoreable_columns(step: Step) -> list[str]:
     """Output columns eligible for an interestingness score.
 
@@ -340,28 +323,28 @@ def step_interestingness(
     max_distinct: int = 2000,
     seed: int = 0,
 ) -> dict[str, float]:
-    """``I_A(Q)`` for each output column A (paper Algorithm 1, lines 1-2).
+    """``I_A(Q)`` for each output column A (paper Algorithm 1, lines 1-2)
+    of a filter, join or union step.
 
     Filter/join: KS of each column between the *relevant* input and the
     output (for a join, the input side that carries the column — §3.2).
-    Union: max KS over the inputs containing the column. Group-by: CV of
-    each numeric output column, on the output's scored columns collected
-    to the driver — a sample of ~``sample_size`` rows, or with sampling
-    off (``None``, exact FEDEX) the whole output, one row per group.
+    Union: max KS over the inputs containing the column. A group-by step
+    raises ``TypeError``: its CVs come from the diversity contribution
+    pass (module docstring).
     """
-    cols = columns if columns is not None else scoreable_columns(step)
     if isinstance(step, GroupByStep):
-        # One row per group: collected once, as phase 2 collects its
-        # per-(group, set) partials.
-        out = _output_sample(step, sample_size, seed).selectExpr(*map(quote, cols)).toPandas()
-        return {c: reference.cv(out[c]) for c in cols}
-
+        raise TypeError("group-by interestingness comes from the diversity contribution pass")
+    cols = columns if columns is not None else scoreable_columns(step)
+    # A filter or union output has at most its inputs' rows: within
+    # sample_size, it is kept whole without being counted. A join's is counted.
+    rows = sum(input_profile(df).rows for df in step.inputs.values())
+    fits = sample_size is not None and rows <= sample_size and not isinstance(step, JoinStep)
+    d_out = _sample_cap(step.output(), sample_size, seed, rows if fits else None)
     # One KS comparison per input side, all in one aggregate that reads
     # every side once, so nothing is persisted; a column is scored against
     # the side that owns it — §3.2's d'_in for joins (only join keys
     # appear on both sides, first side wins) — and against every side for
     # unions (max).
-    d_out = _output_sample(step, sample_size, seed)
     comparisons = []
     taken: set[str] = set()
     for i, df in enumerate(step.inputs.values()):

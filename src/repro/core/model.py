@@ -33,18 +33,16 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-#: Name of the internal partition-set-id column.
+#: Name of the internal partition-set-id column, and the prefix of every
+#: partition-annotation column (__pid_0, __pid_1, ... for several at once).
 PID = "__pid"
-#: Prefix shared by all partition-annotation columns (the contribution
-#: engine may attach several partitions at once as __pid, __pid_0, ...).
-PID_PREFIX = "__pid"
 #: Set id of the ignore-set / non-partitioned rows (never removed).
 IGNORE_PID = -1
 
 
 def pid_columns(df: DataFrame) -> list[str]:
     """All partition-annotation columns present on ``df``."""
-    return [c for c in df.columns if c.startswith(PID_PREFIX)]
+    return [c for c in df.columns if c.startswith(PID)]
 
 
 def quote(name: str) -> str:
@@ -69,27 +67,37 @@ def sql_double(x: float) -> str:
 
 
 #: The aggregate algebra of group-by steps: fn -> (Spark SQL aggregate, the
-#: SQL aggregates of its partials). Every function is distributive or
-#: algebraic (Gray et al., "Data Cube", ICDE 1996), so its value over any
-#: union of sets-of-rows follows from per-set partials: the merged partial,
-#: or the first over the second where there are two (a mean's sum / count).
+#: kinds of its partials). Every function is distributive or algebraic
+#: (Gray et al., "Data Cube", ICDE 1996), so its value over any union of
+#: sets-of-rows follows from per-set partials: the merged value partial, or
+#: the first over the second where there are two (a mean's sum / count),
+#: and NaN where the merged ``nan`` partial is > 0.
 AGGREGATES = {
-    "mean": ("avg", ("sum", "count")),
-    "sum": ("sum", ("sum",)),
+    "mean": ("avg", ("sum", "count", "nan")),
+    "sum": ("sum", ("sum", "nan")),
     "count": ("count", ("count",)),
     "min": ("min", ("min",)),
-    "max": ("max", ("max",)),
+    "max": ("max", ("max", "nan")),
 }
 AGG_FNS = tuple(AGGREGATES)
-#: Each partial's column prefix and its merge across sets, by SQL aggregate.
-#: A merge skips NaN, the cell of a set that holds none of the group's rows:
-#: sums and counts add (0 over no rows), minima and maxima keep the least
-#: and the greatest (NaN over no rows).
+
+
+def _sum(cells: np.ndarray, axis: int) -> np.ndarray:
+    return np.where(np.isnan(cells).all(axis=axis), np.nan, np.nansum(cells, axis=axis))
+
+
+#: Each partial kind's column prefix, SQL aggregate and merge across sets,
+#: which skips NaN, the cell of a set without the group's rows (or, for a
+#: sum, without a value): counts add (0 over none), sums add (NaN over
+#: none), minima and maxima keep the least and the greatest. Spark's avg,
+#: sum and max of a group holding a NaN value are NaN: ``nan`` counts those
+#: values. Its min is NaN only when every value is, as ``fmin``'s.
 _PARTIAL = {
-    "sum": ("sum", np.nansum),
-    "count": ("cnt", np.nansum),
-    "min": ("min", partial(np.fmin.reduce, initial=np.nan)),
-    "max": ("max", partial(np.fmax.reduce, initial=np.nan)),
+    "sum": ("sum", "sum({})", _sum),
+    "count": ("cnt", "count({})", np.nansum),
+    "min": ("min", "min({})", partial(np.fmin.reduce, initial=np.nan)),
+    "max": ("max", "max({})", partial(np.fmax.reduce, initial=np.nan)),
+    "nan": ("nans", "count(CASE WHEN isnan({}) THEN 1 END)", np.nansum),
 }
 
 
@@ -120,20 +128,21 @@ class Aggregation:
         return f"{AGGREGATES[self.fn][0]}({self.target}) AS {quote(self.alias)}"
 
     def partials(self) -> dict[str, str]:
-        """The SQL aggregate of each partial this aggregation is recombined
-        from, by partial column (``__sum__<alias>``, ``__cnt__<alias>``...)."""
-        return {f"__{_PARTIAL[fn][0]}__{self.alias}": fn for fn in AGGREGATES[self.fn][1]}
+        """The kind (:data:`_PARTIAL`) of each partial this aggregation is
+        recombined from, by partial column (``__sum__<alias>``...)."""
+        return {f"__{_PARTIAL[kind][0]}__{self.alias}": kind for kind in AGGREGATES[self.fn][1]}
 
     def combine(self, cells: Callable[[str], np.ndarray]) -> np.ndarray:
         """This aggregation's value per group over a union of sets, from
         ``cells(column)``: each partial's (group × set) cells of those
-        sets, NaN where a set holds none of the group's rows."""
-        merged = [_PARTIAL[fn][1](cells(col), axis=1) for col, fn in self.partials().items()]
-        if len(merged) == 1:
-            return merged[0]
-        total, count = merged
+        sets, NaN where a set holds none of the group's rows. A mean over
+        no value is NaN: its sum is."""
+        merged = {k: _PARTIAL[k][2](cells(col), axis=1) for col, k in self.partials().items()}
+        nans = merged.pop("nan", 0)
+        value, *count = merged.values()
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(count > 0, total / count, np.nan)
+            value = value / count[0] if count else value
+        return np.where(nans > 0, np.nan, value)
 
 
 class Step:
@@ -306,14 +315,18 @@ class GroupByStep(Step):
         is NaN: Spark keeps a NaN key's group apart from the null key's,
         and pandas reads both keys as NaN.
         """
-        exprs = ["count(1) AS __n"] + [
-            f"{fn}({a.target}) AS {quote(col)}" for a in self.aggs for col, fn in a.partials().items()
-        ]
-        types = dict(annotated.dtypes)
+        floating = {c for c, t in annotated.dtypes if t in ("double", "float")}
+        exprs = ["count(1) AS __n"]
+        for a in self.aggs:
+            for col, kind in a.partials().items():
+                # Only a floating-point value is NaN: isnan casts any other
+                # type to double, which fails on a date or non-numeric text.
+                sql = "0" if kind == "nan" and a.column not in floating else _PARTIAL[kind][1]
+                exprs.append(f"{sql.format(a.target)} AS {quote(col)}")
         nan = [
             F.expr(f"isnan({quote(k)}) AS {quote(f'__nan__{k}')}")
             for k in self.keys
-            if types[k] in ("double", "float")
+            if k in floating
         ]
         keys = [quote(k) for k in (*self.keys, *by)]
         return annotated.groupBy(*keys, *nan).agg(*[F.expr(e) for e in exprs])

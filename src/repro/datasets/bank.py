@@ -17,9 +17,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-#: Paper row count (§4.1).
-PAPER_N_ROWS = 10_127
-
 _EDU = ["High School", "Graduate", "Uneducated", "College", "Post-Graduate", "Doctorate", "Unknown"]
 _EDU_W = [0.20, 0.31, 0.15, 0.10, 0.05, 0.045, 0.145]
 _INCOME = ["Less than $40K", "$40K - $60K", "$60K - $80K", "$80K - $120K", "$120K +", "Unknown"]

@@ -26,10 +26,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.functions import col as F_col
 
-#: Paper table sizes (§4.1).
-PAPER_N_PRODUCTS = 9_977
-PAPER_N_SALES = 3_049_913
-
 _CATEGORIES = [
     "Whiskey", "Vodka", "Rum", "Schnapps", "Tequila", "Gin", "Brandy", "Liqueur",
 ]

@@ -23,9 +23,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-#: Paper row count (§4.1).
-PAPER_N_ROWS = 174_389
-
 _DECADES = np.array([1950, 1960, 1970, 1980, 1990, 2000, 2010, 2020])
 #: Decade mix: 2010s deliberately rare (paper Fig. 2a: 3.5% of the data).
 _DECADE_W = np.array([0.10, 0.14, 0.18, 0.20, 0.16, 0.155, 0.035, 0.03])

@@ -8,6 +8,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import reference
 from repro.core.contribution import (
     compute_contributions,
     diversity_contributions_multi,
@@ -229,6 +230,55 @@ class TestGroupByContribution:
         results = diversity_contributions_multi(step, [(p, columns)])
         assert [r.column for r in results] == columns
         _assert_matches_naive(step, results)
+
+    @pytest.mark.parametrize("fn", AGG_FNS)
+    def test_nan_and_null_values_match_spark(self, spark, fn):
+        # Three NaN values and a group whose values are all null, over a
+        # partition on a non-key column: Spark's avg, sum and max of a
+        # group holding a NaN are NaN, and its sum over no value is null.
+        # I is the CV of the collected output and every C is Def. 3.3's.
+        g = np.random.default_rng(8)
+        pdf = pd.DataFrame(
+            {
+                "i": range(64),
+                "k": [*g.choice(list("abcd"), 60), *"eeee"],
+                "h": g.choice(list("pqr"), 64),
+                "v": g.normal(10, 3, 64).round(2),
+            }
+        )
+        d = spark.createDataFrame(pdf).selectExpr(
+            "k",
+            "h",
+            "CASE WHEN i IN (3, 17, 41) THEN CAST('NaN' AS DOUBLE) "
+            "WHEN k = 'e' THEN NULL ELSE v END AS v",
+        )
+        step = GroupByStep(d, ["k"], [Aggregation(fn, "v", "a")])
+        assert d.where("isnan(v)").count() == 3
+        p = _freq(d, "h", 3)
+        (res,) = diversity_contributions_multi(step, [(p, ["a"])])
+        expected = reference.cv(step.output().toPandas()["a"])
+        assert res.score_full == pytest.approx(expected, abs=1e-9)
+        _assert_matches_naive(step, [res])
+
+    def test_max_of_string_and_date_columns(self, spark):
+        # max carries a NaN-count partial; a string or date column has no
+        # NaN, and the step's other aggregates are still scored exactly.
+        pdf = pd.DataFrame(
+            {
+                "k": list("abcd") * 6,
+                "h": list("pqr") * 8,
+                "s": [f"x{i % 7}" for i in range(24)],
+                "d": pd.to_datetime("2020-01-01") + pd.to_timedelta(np.arange(24) % 5, "D"),
+                "v": np.arange(24.0) ** 1.5,
+            }
+        )
+        d = spark.createDataFrame(pdf).selectExpr("k", "h", "s", "CAST(d AS DATE) AS d", "v")
+        aggs = [Aggregation("max", c, f"m{c}") for c in ("s", "d", "v")]
+        step = GroupByStep(d, ["k"], aggs)
+        (res,) = diversity_contributions_multi(step, [(_freq(d, "h", 3), ["mv"])])
+        expected = reference.cv(step.output().toPandas()["mv"])
+        assert res.score_full == pytest.approx(expected, abs=1e-9)
+        _assert_matches_naive(step, [res])
 
     def test_caption_stats_break_ties_by_lowest_set(self, spark):
         # Each group's rows split 1:1 between the two sets of a partition

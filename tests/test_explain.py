@@ -15,15 +15,14 @@ import pytest
 from pyspark.sql.group import GroupedData
 
 from repro.core import explain as explain_module
-from repro.core import interestingness
+from repro.core import interestingness, reference
 from repro.core.contribution import exceptionality_contributions_multi, naive_contribution
 from repro.core.explain import Explanation, Fedex, FedexConfig
 from repro.core.model import Aggregation, FilterStep, GroupByStep, JoinStep, UnionStep
 from repro.core.partition import partition_stats, partitions_for_attribute
 from repro.datasets.bank import bank_pdf
-from repro.datasets.products import prefixed, prefixed_pdf, products_pdf, sales_pdf
 from repro.datasets.spotify import spotify_pdf
-from repro.workload.queries import BY_NUM, DatasetBundle, make_bundle
+from repro.workload.queries import BY_NUM, DatasetBundle, groupby_queries, make_bundle
 
 
 @pytest.fixture(scope="module")
@@ -54,19 +53,8 @@ def small_spotify(spark):
 
 @pytest.fixture(scope="module")
 def small_products(spark):
-    """A 400-sale Products draw over 60 products, for the q1 join."""
-    products, sales = products_pdf(60), sales_pdf(400, 60)
-    return DatasetBundle(
-        "products",
-        {
-            "products_pfx": prefixed(spark.createDataFrame(products), "products"),
-            "sales_pfx": prefixed(spark.createDataFrame(sales), "sales"),
-        },
-        {
-            "products_pfx": prefixed_pdf(products, "products"),
-            "sales_pfx": prefixed_pdf(sales, "sales"),
-        },
-    )
+    """A 400-sale Products draw over 60 products."""
+    return make_bundle(spark, "products", {"products": 60, "sales": 400})
 
 
 def _fresh(spark, bundle: DatasetBundle) -> DatasetBundle:
@@ -376,18 +364,18 @@ class TestPhase2JobBudget:
 
 
 class TestPhase1JobBudget:
-    """Phase 1 runs a fixed number of Spark jobs per step: one collect
-    scores every group-by aggregate, and one counting path scores numeric
-    and categorical KS columns together."""
+    """Phase 1 runs a fixed number of Spark jobs per step: one diversity
+    pass scores every group-by aggregate, and one counting path scores
+    numeric and categorical KS columns together."""
 
     @staticmethod
     def _jobs(spark, fx, step) -> int:
         return _spark_jobs(spark, lambda: fx.interesting_columns(step))
 
     def test_constant_in_groupby_aggregates(self, spark, spotify_df):
-        def step(cols):
+        def step(cols):  # a new DataFrame: both counts include its partition statistics
             return GroupByStep(
-                spotify_df, ["genre"], [Aggregation("mean", c, c) for c in cols]
+                spotify_df.select("*"), ["genre"], [Aggregation("mean", c, c) for c in cols]
             )
 
         fx = Fedex()
@@ -451,9 +439,8 @@ class TestPhase1JobBudget:
         assert _actions(spark, lambda: fx.interesting_columns(step)) == ["toPandas"]
 
     def test_groupby_output_not_counted_with_few_groups(self, spark, spotify_df):
-        # A group-by output has at most one row per combination of its
-        # keys' values (null included): with that bound at most
-        # sample_size, a larger input's output is not counted.
+        # A group-by is scored from its diversity pass, never sampled: its
+        # output is not counted, and sampled scores equal exact ones.
         df = spotify_df.select("*")
         profile = interestingness.input_profile(df)
         groups = (profile.distinct["genre"] + 1) * (profile.distinct["mode"] + 1)
@@ -462,7 +449,7 @@ class TestPhase1JobBudget:
             df, ["genre", "mode"], [Aggregation("mean", c, c) for c in ("loudness", "tempo")]
         )
         fx = Fedex(FedexConfig(sample_size=groups))
-        assert _actions(spark, lambda: fx.interesting_columns(step)) == ["toPandas"]
+        assert "count" not in _actions(spark, lambda: fx.interesting_columns(step))
         assert fx.interesting_columns(step) == Fedex().interesting_columns(step)
 
 
@@ -743,8 +730,8 @@ class TestWorkloadSteps:
     def test_same_explanations_any_shuffle_partitions(
         self, spark, small_bank, small_spotify, num
     ):
-        # q21 is a group-by on Spotify with many groups: phase 1 scores
-        # its whole (unsampled) output, collected in shuffle order. Each
+        # q21 is a group-by on Spotify with many groups: its CVs merge
+        # per-(group, set) partials collected in shuffle order. Each
         # setting explains new DataFrames, so no input profile is shared.
         q = BY_NUM[num]
         bundle = small_spotify if q.dataset == "spotify" else small_bank
@@ -765,6 +752,34 @@ class TestWorkloadSteps:
             assert (a.interestingness, a.contribution, a.std_contribution) == pytest.approx(
                 (b.interestingness, b.contribution, b.std_contribution), abs=1e-9
             )
+
+
+class TestGroupByInterestingness:
+    """A group-by's ``I_A(Q)`` comes from its diversity pass and equals
+    the CV of the collected output."""
+
+    @pytest.mark.parametrize("num", [q.num for q in groupby_queries()])
+    def test_workload_query_scores_cv_of_output(
+        self, small_bank, small_spotify, small_products, num
+    ):
+        q = BY_NUM[num]
+        bundle = {"bank": small_bank, "spotify": small_spotify, "products": small_products}
+        step = q.build(bundle[q.dataset])
+        scores = Fedex(FedexConfig(sample_size=5000)).interesting_columns(step)
+        out = step.output().toPandas()
+        assert set(scores) == set(interestingness.scoreable_columns(step))
+        assert scores == pytest.approx({c: reference.cv(out[c]) for c in scores}, abs=1e-9)
+
+    def test_keys_without_partition(self, spark):
+        # One key holding only 'a' and null: two groups, no partition.
+        # The engine still scores the output, and nothing is explained.
+        pdf = pd.DataFrame({"k": ["a", None] * 10, "v": np.arange(20.0)})
+        step = GroupByStep(spark.createDataFrame(pdf), ["k"], [Aggregation("mean", "v", "mv")])
+        assert partitions_for_attribute(step.d_in, step.keys) == []
+        expected = reference.cv(step.output().toPandas()["mv"])
+        assert expected > 0
+        assert Fedex().interesting_columns(step) == pytest.approx({"mv": expected}, abs=1e-9)
+        assert Fedex().explain(step) == []
 
 
 class TestJoinExplanation:

@@ -11,6 +11,7 @@ from pyspark.sql import types as T
 
 from repro.core import contribution, interestingness, reference
 from repro.core.contribution import exceptionality_contributions_multi
+from repro.core.explain import Fedex, FedexConfig
 from repro.core.interestingness import (
     bin_edges,
     input_profile,
@@ -43,11 +44,11 @@ def _ks(din, dout, **kw):
 
 
 def _cv(spark, vals):
-    """Phase 1's CV of a one-key group-by whose output column ``x`` holds
+    """``I_A(Q)`` of a one-key group-by whose output column ``x`` holds
     ``vals`` (one group per value)."""
     pdf = pd.DataFrame({"g": range(len(vals)), "v": vals})
     step = GroupByStep(_df(spark, pdf), ["g"], [Aggregation("mean", "v", "x")])
-    return step_interestingness(step, columns=["x"])["x"]
+    return Fedex(FedexConfig(columns=["x"])).interesting_columns(step)["x"]
 
 
 # ---------------------------------------------------------------- reference
@@ -370,8 +371,8 @@ class TestSparkCV:
         )
 
     def test_phase1_cv_matches_oracle(self, spark):
-        """Phase 1's CV (``reference.cv`` of the collected output) agrees
-        with DuckDB's stddev_samp/abs(avg) over the same values."""
+        """A group-by's CV (merged from the diversity engine's partials)
+        agrees with DuckDB's stddev_samp/abs(avg) over the same values."""
         pdf = pd.DataFrame({"x": np.random.default_rng(2).random(200) - 0.2})
         got = _df(spark, pd.DataFrame({"cv": [_cv(spark, pdf["x"].tolist())]}))
         assert_equivalent(
@@ -421,10 +422,17 @@ class TestStepInterestingness:
         step = GroupByStep(
             _df(spark, pdf), ["g"], [Aggregation("mean", "v", "mv")]
         )
-        scores = step_interestingness(step)
+        scores = Fedex().interesting_columns(step)
         assert "mv" in scores
         assert scores["mv"] == pytest.approx(reference.cv([1.0, 10.0, 100.0]))
         assert "g" not in scores  # non-numeric key
+
+    def test_groupby_step_raises(self, spark):
+        # A group-by's CVs come from the diversity contribution pass only.
+        pdf = pd.DataFrame({"g": list("ab"), "v": [1.0, 2.0]})
+        step = GroupByStep(_df(spark, pdf), ["g"], [Aggregation("mean", "v", "mv")])
+        with pytest.raises(TypeError):
+            step_interestingness(step)
 
     def test_union_takes_max_over_inputs(self, spark):
         d1 = _df(spark, pd.DataFrame({"x": [1] * 50}))
