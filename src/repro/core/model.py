@@ -59,10 +59,10 @@ _NON_FINITE = {
 
 
 def sql_double(x: float) -> str:
-    """A SQL double literal of a number the explainer makes itself (a bin
-    edge or a quantile bound) that parses back to the same value. Values
-    read from the user's table are never rendered as text: they stay
-    ``F.lit``."""
+    """A SQL double literal of a bin edge or a quantile bound (a numeric
+    column's value, as a double) that parses back to the same value. Other
+    values read from the user's table are never rendered as text: they
+    stay ``F.lit``."""
     return f"{float(x)!r}D" if math.isfinite(x) else _NON_FINITE[x]
 
 

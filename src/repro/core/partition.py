@@ -21,24 +21,21 @@ All three read one :class:`PartitionStats`, which :func:`partition_stats`
 computes for *every* attribute partitioned on one input, whatever the
 number of attributes or set counts, from the input's memoized
 :func:`~repro.core.interestingness.input_profile` (distinct counts and
-ranges; one aggregate when no earlier step or phase computed it) and at
-most two Spark actions:
-
-1. one multi-column ``approxQuantile`` for every numeric attribute and
-   set count;
-2. one value scan (:func:`value_scan`) of the input exploded to one row
-   per (attribute, value): every value's count and, for every
-   many-to-one candidate the profile still allows, whether the candidate
-   is constant in that value's rows; a window per attribute ranks the
-   values (count desc, typed value asc) and takes each candidate's
-   worst case, and only the top ``max(n_sets)`` values are collected.
-   Many-to-one targets outside the requested attributes get their top
-   values from one more scan with no candidates, run only when there are
-   such targets whose values are not yet known.
+ranges; one aggregate when no earlier step or phase computed it) and one
+value scan (:func:`value_scan`) of the input exploded to one row per
+(attribute, value): every value's count and, for every many-to-one
+candidate the profile still allows, whether the candidate is constant in
+that value's rows. Windows per attribute rank the values (count desc,
+typed value asc), take each candidate's worst case and run the counts in
+value order; only the top ``max(n_sets)`` values and the values that hold
+an exact equal-frequency bound are collected, so the bounds depend on the
+rows alone, not on how the input is split. Many-to-one targets outside
+the requested attributes get their top values from one more scan with no
+candidates, run only when such targets' values are not yet known.
 
 The statistics are memoized per DataFrame object in a weak-keyed memo,
 with the same validity as the profile's (a DataFrame is an immutable
-plan): quantiles per (attribute, n), top values per column, FD targets
+plan): bounds per (attribute, n), top values per column, FD targets
 per attribute. A call scans only what it misses, so a step over
 attributes an earlier step partitioned on the same DataFrame runs no
 Spark job. The memo holds plain Python values only: a DataFrame
@@ -141,28 +138,35 @@ def _melt_values(df: DataFrame, cols: list[str], *keep: str) -> DataFrame:
 
 
 def value_scan(
-    df: DataFrame, cols: list[str], candidates: list[str], n: int
-) -> tuple[dict[str, list], dict[str, dict[str, int]]]:
-    """The ``n`` most frequent present values of every column in ``cols``
-    (ties broken by value ascending, for determinism) and, for every such
-    column A and every column c of ``candidates``, the FD code: ``max
-    over A-values of`` 0 if c is all null in that value's rows, 1 if its
-    min equals its max, else 2 (c's distinct count capped at 2).
+    df: DataFrame, cols: list[str], candidates: list[str], n_sets: tuple[int, ...]
+) -> tuple[dict[str, list], dict[str, dict[str, int]], dict[tuple[str, int], list[float]]]:
+    """The ``max(n_sets)`` most frequent present values of every column in
+    ``cols`` (ties broken by value ascending, for determinism); for every
+    such column A and every column c of ``candidates``, the FD code:
+    ``max over A-values of`` 0 if c is all null in that value's rows, 1 if
+    its min equals its max, else 2 (c's distinct count capped at 2); and
+    the bounds of every numeric column per n: bound i (0 < i < n) is the
+    value at rank ⌈i·N/n⌉ of its N present values in ascending order, the
+    inverted-CDF quantile i/n.
 
     One Spark query: a ``groupBy(column, typed value)`` of the melted
-    input with each value's count and codes, then one window per column
-    that ranks its values and takes each code's maximum. Rows whose A is
-    null or NaN are not part of A's values."""
+    input with each value's count and codes, then windows per column that
+    rank its values, take each code's maximum and run its count in value
+    order. Rows whose A is null or NaN are not part of A's values."""
     if not cols:
-        return {}, {}
+        return {}, {}, {}
+    n_top = max(n_sets)
     slots = [f"__v{i}" for i in range(len(cols))]
     codes = [f"__c{i}" for i in range(len(candidates))]
     per_value = [
         f"CASE WHEN min({q}) IS NULL THEN 0 WHEN min({q}) = max({q}) THEN 1 ELSE 2 END AS {code}"
         for q, code in zip(map(quote, candidates), codes)
     ]
-    rank = f"PARTITION BY __k ORDER BY {', '.join(['__cnt DESC'] + [f'{s} ASC' for s in slots])}"
-    whole = f"{rank} ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING"
+    order = ", ".join(f"{s} ASC" for s in slots)
+    rank = f"PARTITION BY __k ORDER BY __cnt DESC, {order}"
+    # A value holds a bound of n when its ranks (__cum - __cnt, __cum] take
+    # in a multiple of N/n: integer division, so no rounding.
+    crosses = [f"(__cum * {n}) DIV __tot > ((__cum - __cnt) * {n}) DIV __tot" for n in n_sets]
     rows = (
         _melt_values(df, cols, *candidates)
         .groupBy("__k", *slots)
@@ -171,18 +175,30 @@ def value_scan(
             "__k",
             *slots,
             f"row_number() OVER ({rank}) AS __rank",
-            *[f"max({code}) OVER ({whole}) AS {code}" for code in codes],
+            f"sum(__cnt) OVER (PARTITION BY __k ORDER BY {order} ROWS UNBOUNDED PRECEDING) AS __cum",
+            "sum(__cnt) OVER (PARTITION BY __k) AS __tot",
+            *[f"max({code}) OVER (PARTITION BY __k) AS {code}" for code in codes],
         )
-        .where(f"__rank <= {n}")
+        .where(" OR ".join([f"__rank <= {n_top}", *crosses]))
         .collect()
     )
     top: dict[str, list] = {c: [] for c in cols}
     fd_codes: dict[str, dict[str, int]] = {c: {} for c in cols}
     for r in sorted(rows, key=lambda r: (r["__k"], r["__rank"])):
         col = cols[r["__k"]]
-        top[col].append(r[slots[r["__k"]]])
+        if r["__rank"] <= n_top:
+            top[col].append(r[slots[r["__k"]]])
         fd_codes[col] = {c: r[code] for c, code in zip(candidates, codes)}
-    return top, fd_codes
+    bounds: dict[tuple[str, int], list[float]] = {}
+    for k in [k for k, c in enumerate(cols) if is_numeric(df, c)]:
+        held = sorted((r for r in rows if r["__k"] == k), key=lambda r: r["__cum"])
+        for n in n_sets:
+            # Bound i: the first value whose running count reaches i·N/n.
+            bounds[cols[k], n] = [
+                float(next(r[slots[k]] for r in held if r["__cum"] * n >= i * r["__tot"]))
+                for i in range(1, n) if held
+            ]
+    return top, fd_codes, bounds
 
 
 @dataclass
@@ -212,9 +228,8 @@ def partition_stats(
     d_in: DataFrame, attrs: list[str], n_sets: tuple[int, ...] = (5, 10)
 ) -> PartitionStats:
     """The statistics every partition of ``attrs`` over ``d_in`` needs:
-    the input's profile, at most one ``approxQuantile`` and two value
-    scans, and no Spark job for what the memo already holds (module
-    docstring).
+    the input's profile and at most two value scans, and no Spark job for
+    what the memo already holds (module docstring).
 
     Many-to-one targets of attribute A are the other columns B with a
     strictly coarser functional dependency A→B: every A-value maps to
@@ -230,23 +245,6 @@ def partition_stats(
     n_top = max(n_sets)
 
     numeric = [a for a in attrs if is_numeric(d_in, a)]
-    missing = [(a, n) for a in numeric for n in n_sets if (a, n) not in memo.quantiles]
-    if missing:
-        q_attrs = list(dict.fromkeys(a for a, _ in missing))
-        probs, spans = [], {}
-        for n in sorted({n for _, n in missing}):
-            grid = [i / n for i in range(1, n)]
-            spans[n] = (len(probs), len(probs) + len(grid))
-            probs.extend(grid)
-        # Nulls and NaNs are left out of each numeric attribute's range and
-        # quantiles, as ``na.drop`` on that attribute alone would.
-        names = [quote(a) for a in q_attrs]
-        kept = [f"CASE WHEN {present(d_in, a)} THEN {q} END AS {q}" for a, q in zip(q_attrs, names)]
-        qss = d_in.selectExpr(*kept).approxQuantile(names, probs, 1e-3)
-        for a, qs in zip(q_attrs, qss):
-            for n, (lo, hi) in spans.items():
-                memo.quantiles.setdefault((a, n), qs[lo:hi])
-
     # B can be A's target only if it has some values, fewer than A: the
     # scan carries no other candidate.
     allowed = {
@@ -254,9 +252,11 @@ def partition_stats(
         for a in attrs
     }
     need_fd = [a for a in attrs if a not in memo.fd]
-    batch = [a for a in attrs if a in need_fd or memo.top_values(a, n_top) is None]
+    no_bounds = [a for a in numeric if any((a, n) not in memo.quantiles for n in n_sets)]
+    batch = [a for a in attrs if a in need_fd or a in no_bounds or memo.top_values(a, n_top) is None]
     carried = list(dict.fromkeys(c for a in need_fd for c in allowed[a]))
-    top, codes = value_scan(d_in, batch, carried, n_top)
+    top, codes, bounds = value_scan(d_in, batch, carried, n_sets)
+    memo.quantiles.update(bounds)
     for a in need_fd:
         targets = [c for c in allowed[a] if codes[a].get(c) == 1]
         memo.fd[a] = sorted(targets, key=lambda c: profile.distinct[c])[:MAX_M2O_TARGETS]
@@ -264,7 +264,7 @@ def partition_stats(
     top_cols = list(dict.fromkeys(attrs + [b for a in attrs for b in fd[a]]))
     # FD targets outside the batch whose top values are not yet known.
     rest = [b for b in top_cols if b not in top and memo.top_values(b, n_top) is None]
-    top.update(value_scan(d_in, rest, [], n_top)[0])
+    top.update(value_scan(d_in, rest, [], n_sets)[0])
     for c, values in top.items():
         if memo.top_values(c, n_top) is None:
             memo.top[c] = (n_top, values)
@@ -310,12 +310,12 @@ def frequency_partition(stats: PartitionStats, attr: str, n: int) -> Partition |
 def numeric_partition(stats: PartitionStats, attr: str, n: int) -> Partition | None:
     """Equal-frequency interval partition of a numeric attribute (§3.5).
 
-    Interval boundaries are the ``1/n .. (n-1)/n`` quantiles
-    (``approxQuantile`` with tight error — deterministic for a given
-    dataframe). Every non-null row lands in a set (the paper's ignore-set
-    is empty here; we route nulls to it). Collapsing quantiles (heavy
-    ties) simply yield fewer, still-disjoint intervals; ``None`` when the
-    column is non-numeric or effectively constant.
+    Interval boundaries are the exact ``1/n .. (n-1)/n`` quantiles of the
+    present values (:func:`value_scan`), so they depend on the rows alone.
+    Every non-null row lands in a set (the paper's ignore-set is empty
+    here; we route nulls to it). Collapsing quantiles (heavy ties) simply
+    yield fewer, still-disjoint intervals; ``None`` when the column is
+    non-numeric or effectively constant.
     """
     qs = stats.quantiles.get(attr, {}).get(n)
     lo, hi = stats.lo.get(attr), stats.hi.get(attr)

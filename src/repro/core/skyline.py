@@ -38,8 +38,7 @@ def skyline_indices(points: list[tuple[float, float]]) -> list[int]:
     return sorted(kept)
 
 
-def weighted_score(
-    interestingness: float, std_contribution: float, w_i: float = 1.0, w_c: float = 1.0
-) -> float:
-    """§3.7's ranking score: weighted mean of I_A(Q) and C̄(R, A)."""
-    return (w_i * interestingness + w_c * std_contribution) / (w_i + w_c)
+def weighted_score(interestingness: float, std_contribution: float) -> float:
+    """§3.7's ranking score: the mean of I_A(Q) and C̄(R, A), equally
+    weighted."""
+    return (interestingness + std_contribution) / 2

@@ -1,6 +1,6 @@
 """Synthetic evaluation datasets (paper §4.1 substitutes, DESIGN.md §2)."""
-from repro.datasets.bank import bank, bank_pdf
-from repro.datasets.products import products_tables, sales_pdf
-from repro.datasets.spotify import spotify, spotify_pdf
+from repro.datasets.bank import bank_pdf
+from repro.datasets.products import sales_pdf
+from repro.datasets.spotify import spotify_pdf
 
-__all__ = ["bank", "bank_pdf", "products_tables", "sales_pdf", "spotify", "spotify_pdf"]
+__all__ = ["bank_pdf", "sales_pdf", "spotify_pdf"]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _EDU = ["High School", "Graduate", "Uneducated", "College", "Post-Graduate", "Doctorate", "Unknown"]
 _EDU_W = [0.20, 0.31, 0.15, 0.10, 0.05, 0.045, 0.145]
@@ -93,8 +92,3 @@ def bank_pdf(n_rows: int = 2000, seed: int = 7) -> pd.DataFrame:
             "Credit_Used": np.clip(revolving / credit_limit, 0, 1).round(3),
         }
     )
-
-
-def bank(spark: SparkSession, *, n_rows: int = 2000, seed: int = 7) -> DataFrame:
-    """The dataset as a Spark DataFrame (21 columns, like the paper's)."""
-    return spark.createDataFrame(bank_pdf(n_rows, seed))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql.functions import col as F_col
 
 _CATEGORIES = [
@@ -143,25 +143,6 @@ def sales_pdf(
             "volume_sold_liters": (bottle_qty * prod["liter_size"].to_numpy() / 1000.0).round(2),
         }
     )
-
-
-def products_tables(
-    spark: SparkSession,
-    *,
-    n_products: int = 500,
-    n_sales: int = 20_000,
-    n_stores: int = 120,
-    n_counties: int = 40,
-) -> dict[str, DataFrame]:
-    """All four Spark tables: products, sales, stores, counties."""
-    return {
-        "products": spark.createDataFrame(products_pdf(n_products)),
-        "sales": spark.createDataFrame(
-            sales_pdf(n_sales, n_products, n_stores, n_counties)
-        ),
-        "stores": spark.createDataFrame(stores_pdf(n_stores)),
-        "counties": spark.createDataFrame(counties_pdf(n_counties)),
-    }
 
 
 def prefixed(df: DataFrame, prefix: str, key: str = "item") -> DataFrame:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _DECADES = np.array([1950, 1960, 1970, 1980, 1990, 2000, 2010, 2020])
 #: Decade mix: 2010s deliberately rare (paper Fig. 2a: 3.5% of the data).
@@ -97,8 +96,3 @@ def spotify_pdf(n_rows: int = 6000, seed: int = 42) -> pd.DataFrame:
             "followers": np.exp(g.normal(8, 2.2, n_rows)).round(0),
         }
     )
-
-
-def spotify(spark: SparkSession, *, n_rows: int = 6000, seed: int = 42) -> DataFrame:
-    """The dataset as a Spark DataFrame (20 columns, like the paper's)."""
-    return spark.createDataFrame(spotify_pdf(n_rows, seed))

@@ -5,7 +5,9 @@ exceptionality measure; queries 16-30 (Table 3) are group-by steps
 evaluated with the diversity measure. Each :class:`WorkloadQuery` builds
 the exploratory :class:`~repro.core.model.Step` over a
 :class:`DatasetBundle` and carries the equivalent DuckDB SQL so tests can
-oracle-check the Spark result row-for-row.
+oracle-check the Spark result row-for-row; one constructor per kind
+(:func:`_filter`, :func:`_join`, :func:`_groupby`) derives both from one
+statement of the query.
 
 Column names follow the paper exactly where our synthetic schemas carry
 the same attribute; the only mapping is query 18's ``products_sales_pack``
@@ -114,17 +116,32 @@ class WorkloadQuery:
         return "diversity" if self.kind == "GB" else "exceptionality"
 
 
-def _filter(table: str, predicate: str) -> Callable[[DatasetBundle], Step]:
-    return lambda b: FilterStep(b.spark_tables[table], predicate)
+def _filter(
+    num: int, dataset: str, table: str, predicate: str, within: str | None = None
+) -> WorkloadQuery:
+    """A Table 2 filter on ``predicate``, over the rows of ``table`` that
+    ``within`` keeps if given (a filter over a filter's output)."""
+    source = table if within is None else f"(SELECT * FROM {table} WHERE {within})"
+
+    def build(b: DatasetBundle) -> Step:
+        d_in = b.spark_tables[table]
+        return FilterStep(d_in if within is None else d_in.filter(within), predicate)
+
+    return WorkloadQuery(num, dataset, "F", f"SELECT * FROM {source} WHERE {predicate}", build)
+
+
+def _join(num: int, left: str, right: str, key: str) -> WorkloadQuery:
+    """A Table 2 inner join of two Products tables; ``left`` is partitioned."""
+    return WorkloadQuery(
+        num, "products", "J", f"SELECT * FROM {left} INNER JOIN {right} USING ({key})",
+        lambda b: JoinStep(b.spark_tables[left], b.spark_tables[right], on=[key]),
+    )
 
 
 def _groupby(
-    table: str, keys: list[str], aggs: list[Aggregation]
-) -> Callable[[DatasetBundle], Step]:
-    return lambda b: GroupByStep(b.spark_tables[table], keys, aggs)
-
-
-def _gb_sql(table: str, keys: list[str], aggs: list[Aggregation]) -> str:
+    num: int, dataset: str, table: str, keys: list[str], *aggs: Aggregation
+) -> WorkloadQuery:
+    """A Table 3 group-by of ``table`` on ``keys`` with ``aggs``."""
     sel = ", ".join(
         keys
         + [
@@ -132,213 +149,63 @@ def _gb_sql(table: str, keys: list[str], aggs: list[Aggregation]) -> str:
             for a in aggs
         ]
     )
-    return f"SELECT {sel} FROM {table} GROUP BY {', '.join(keys)}"
-
-
-def _nested_bank_12(b: DatasetBundle) -> Step:
-    inner = b.spark_tables["bank"].filter("Attrition_Flag != 'Existing Customer'")
-    return FilterStep(inner, "Total_Count_Change_Q4_vs_Q1 > 0.75")
+    return WorkloadQuery(
+        num, dataset, "GB", f"SELECT {sel} FROM {table} GROUP BY {', '.join(keys)}",
+        lambda b: GroupByStep(b.spark_tables[table], keys, list(aggs)),
+    )
 
 
 _A = Aggregation
+_ATTRITED = "Attrition_Flag != 'Existing Customer'"
 
 QUERIES: list[WorkloadQuery] = [
     # ---- Table 2: join / filter (exceptionality) ---------------------
-    WorkloadQuery(
-        1, "products", "J",
-        "SELECT * FROM sales_pfx INNER JOIN products_pfx USING (item)",
-        lambda b: JoinStep(b.spark_tables["sales_pfx"], b.spark_tables["products_pfx"],
-                           on=["item"], partition_side="left"),
-    ),
-    WorkloadQuery(
-        2, "products", "J",
-        "SELECT * FROM counties INNER JOIN sales USING (county)",
-        lambda b: JoinStep(b.spark_tables["sales"], b.spark_tables["counties"],
-                           on=["county"], partition_side="left"),
-    ),
-    WorkloadQuery(
-        3, "products", "J",
-        "SELECT * FROM stores INNER JOIN sales USING (store)",
-        lambda b: JoinStep(b.spark_tables["sales"], b.spark_tables["stores"],
-                           on=["store"], partition_side="left"),
-    ),
-    WorkloadQuery(
-        4, "products", "F",
-        "SELECT * FROM products_sales WHERE sales_liter_size <= 500",
-        _filter("products_sales", "sales_liter_size <= 500"),
-    ),
-    WorkloadQuery(
-        5, "products", "F",
-        "SELECT * FROM products_sales WHERE sales_pack = 12",
-        _filter("products_sales", "sales_pack = 12"),
-    ),
-    WorkloadQuery(
-        6, "spotify", "F",
-        "SELECT * FROM spotify WHERE popularity > 65",
-        _filter("spotify", "popularity > 65"),
-    ),
-    WorkloadQuery(
-        7, "spotify", "F",
-        "SELECT * FROM spotify WHERE year > 1990",
-        _filter("spotify", "year > 1990"),
-    ),
-    WorkloadQuery(
-        8, "spotify", "F",
-        "SELECT * FROM spotify WHERE loudness > -12",
-        _filter("spotify", "loudness > -12"),
-    ),
-    WorkloadQuery(
-        9, "spotify", "F",
-        "SELECT * FROM spotify WHERE duration_minutes < 3",
-        _filter("spotify", "duration_minutes < 3"),
-    ),
-    WorkloadQuery(
-        10, "spotify", "F",
-        "SELECT * FROM spotify WHERE tempo > 100",
-        _filter("spotify", "tempo > 100"),
-    ),
-    WorkloadQuery(
-        11, "bank", "F",
-        "SELECT * FROM bank WHERE Attrition_Flag != 'Existing Customer'",
-        _filter("bank", "Attrition_Flag != 'Existing Customer'"),
-    ),
-    WorkloadQuery(
-        12, "bank", "F",
-        "SELECT * FROM (SELECT * FROM bank WHERE Attrition_Flag != "
-        "'Existing Customer') WHERE Total_Count_Change_Q4_vs_Q1 > 0.75",
-        _nested_bank_12,
-    ),
-    WorkloadQuery(
-        13, "bank", "F",
-        "SELECT * FROM bank WHERE Months_Inactive_Count_Last_Year > 2",
-        _filter("bank", "Months_Inactive_Count_Last_Year > 2"),
-    ),
-    WorkloadQuery(
-        14, "bank", "F",
-        "SELECT * FROM bank WHERE Customer_Age < 30",
-        _filter("bank", "Customer_Age < 30"),
-    ),
-    WorkloadQuery(
-        15, "bank", "F",
-        "SELECT * FROM bank WHERE Income_Category = 'Less than $40K'",
-        _filter("bank", "Income_Category = 'Less than $40K'"),
-    ),
+    _join(1, "sales_pfx", "products_pfx", "item"),
+    _join(2, "sales", "counties", "county"),
+    _join(3, "sales", "stores", "store"),
+    _filter(4, "products", "products_sales", "sales_liter_size <= 500"),
+    _filter(5, "products", "products_sales", "sales_pack = 12"),
+    _filter(6, "spotify", "spotify", "popularity > 65"),
+    _filter(7, "spotify", "spotify", "year > 1990"),
+    _filter(8, "spotify", "spotify", "loudness > -12"),
+    _filter(9, "spotify", "spotify", "duration_minutes < 3"),
+    _filter(10, "spotify", "spotify", "tempo > 100"),
+    _filter(11, "bank", "bank", _ATTRITED),
+    _filter(12, "bank", "bank", "Total_Count_Change_Q4_vs_Q1 > 0.75", within=_ATTRITED),
+    _filter(13, "bank", "bank", "Months_Inactive_Count_Last_Year > 2"),
+    _filter(14, "bank", "bank", "Customer_Age < 30"),
+    _filter(15, "bank", "bank", "Income_Category = 'Less than $40K'"),
     # ---- Table 3: group-by (diversity) -------------------------------
-    WorkloadQuery(
-        16, "products", "GB",
-        _gb_sql("products_sales", ["sales_vendor"], [_A("count", "item", "count_item")]),
-        _groupby("products_sales", ["sales_vendor"], [_A("count", "item", "count_item")]),
-    ),
-    WorkloadQuery(
-        17, "products", "GB",
-        _gb_sql("products_sales", ["sales_county", "sales_category_name"],
-                [_A("count", "item", "count_item")]),
-        _groupby("products_sales", ["sales_county", "sales_category_name"],
-                 [_A("count", "item", "count_item")]),
-    ),
-    WorkloadQuery(
-        18, "products", "GB",
-        _gb_sql("products_sales", ["products_pack"], [_A("count", "item", "count_item")]),
-        _groupby("products_sales", ["products_pack"], [_A("count", "item", "count_item")]),
-    ),
-    WorkloadQuery(
-        19, "products", "GB",
-        _gb_sql("products_sales", ["sales_bottle_quantity"],
-                [_A("mean", "sales_total", "mean_total"), _A("mean", "sales_pack", "mean_pack")]),
-        _groupby("products_sales", ["sales_bottle_quantity"],
-                 [_A("mean", "sales_total", "mean_total"), _A("mean", "sales_pack", "mean_pack")]),
-    ),
-    WorkloadQuery(
-        20, "products", "GB",
-        _gb_sql("products_sales", ["products_pack", "products_inner_pack"],
-                [_A("mean", "products_bottle_size", "mean_bottle_size")]),
-        _groupby("products_sales", ["products_pack", "products_inner_pack"],
-                 [_A("mean", "products_bottle_size", "mean_bottle_size")]),
-    ),
-    WorkloadQuery(
-        21, "spotify", "GB",
-        _gb_sql("spotify", ["year"],
-                [_A("mean", "popularity", "mean_pop"), _A("max", "popularity", "max_pop"),
-                 _A("min", "popularity", "min_pop")]),
-        _groupby("spotify", ["year"],
-                 [_A("mean", "popularity", "mean_pop"), _A("max", "popularity", "max_pop"),
-                  _A("min", "popularity", "min_pop")]),
-    ),
-    WorkloadQuery(
-        22, "spotify", "GB",
-        _gb_sql("spotify", ["year"],
-                [_A("mean", "danceability", "mean_dance"), _A("max", "danceability", "max_dance"),
-                 _A("mean", "instrumentalness", "mean_instr"),
-                 _A("max", "instrumentalness", "max_instr"),
-                 _A("mean", "liveness", "mean_live")]),
-        _groupby("spotify", ["year"],
-                 [_A("mean", "danceability", "mean_dance"), _A("max", "danceability", "max_dance"),
-                  _A("mean", "instrumentalness", "mean_instr"),
-                  _A("max", "instrumentalness", "max_instr"),
-                  _A("mean", "liveness", "mean_live")]),
-    ),
-    WorkloadQuery(
-        23, "spotify", "GB",
-        _gb_sql("spotify", ["key"],
-                [_A("mean", "danceability", "mean_dance"), _A("mean", "popularity", "mean_pop")]),
-        _groupby("spotify", ["key"],
-                 [_A("mean", "danceability", "mean_dance"), _A("mean", "popularity", "mean_pop")]),
-    ),
-    WorkloadQuery(
-        24, "spotify", "GB",
-        _gb_sql("spotify", ["decade"],
-                [_A("max", "duration_minutes", "max_dur"), _A("mean", "duration_minutes", "mean_dur")]),
-        _groupby("spotify", ["decade"],
-                 [_A("max", "duration_minutes", "max_dur"), _A("mean", "duration_minutes", "mean_dur")]),
-    ),
-    WorkloadQuery(
-        25, "spotify", "GB",
-        _gb_sql("spotify", ["mode", "key"],
-                [_A("mean", "loudness", "mean_loud"), _A("mean", "liveness", "mean_live"),
-                 _A("mean", "tempo", "mean_tempo")]),
-        _groupby("spotify", ["mode", "key"],
-                 [_A("mean", "loudness", "mean_loud"), _A("mean", "liveness", "mean_live"),
-                  _A("mean", "tempo", "mean_tempo")]),
-    ),
-    WorkloadQuery(
-        26, "bank", "GB",
-        _gb_sql("bank", ["Marital_Status", "Income_Category"],
-                [_A("mean", "Credit_Used", "mean_used"),
-                 _A("mean", "Total_Transitions_Amount", "mean_amount")]),
-        _groupby("bank", ["Marital_Status", "Income_Category"],
-                 [_A("mean", "Credit_Used", "mean_used"),
-                  _A("mean", "Total_Transitions_Amount", "mean_amount")]),
-    ),
-    WorkloadQuery(
-        27, "bank", "GB",
-        _gb_sql("bank", ["Marital_Status", "Gender", "Education_Level"],
-                [_A("count", None, "cnt")]),
-        _groupby("bank", ["Marital_Status", "Gender", "Education_Level"],
-                 [_A("count", None, "cnt")]),
-    ),
-    WorkloadQuery(
-        28, "bank", "GB",
-        _gb_sql("bank", ["Marital_Status"],
-                [_A("mean", "Credit_Used", "mean_used"),
-                 _A("mean", "Total_Transitions_Amount", "mean_amount")]),
-        _groupby("bank", ["Marital_Status"],
-                 [_A("mean", "Credit_Used", "mean_used"),
-                  _A("mean", "Total_Transitions_Amount", "mean_amount")]),
-    ),
-    WorkloadQuery(
-        29, "bank", "GB",
-        _gb_sql("bank", ["Gender", "Income_Category"],
-                [_A("mean", "Customer_Age", "mean_age")]),
-        _groupby("bank", ["Gender", "Income_Category"],
-                 [_A("mean", "Customer_Age", "mean_age")]),
-    ),
-    WorkloadQuery(
-        30, "bank", "GB",
-        _gb_sql("bank", ["Registered_Products_Count", "Attrition_Flag"],
-                [_A("count", None, "cnt")]),
-        _groupby("bank", ["Registered_Products_Count", "Attrition_Flag"],
-                 [_A("count", None, "cnt")]),
-    ),
+    _groupby(16, "products", "products_sales", ["sales_vendor"], _A("count", "item", "count_item")),
+    _groupby(17, "products", "products_sales", ["sales_county", "sales_category_name"],
+             _A("count", "item", "count_item")),
+    _groupby(18, "products", "products_sales", ["products_pack"], _A("count", "item", "count_item")),
+    _groupby(19, "products", "products_sales", ["sales_bottle_quantity"],
+             _A("mean", "sales_total", "mean_total"), _A("mean", "sales_pack", "mean_pack")),
+    _groupby(20, "products", "products_sales", ["products_pack", "products_inner_pack"],
+             _A("mean", "products_bottle_size", "mean_bottle_size")),
+    _groupby(21, "spotify", "spotify", ["year"], _A("mean", "popularity", "mean_pop"),
+             _A("max", "popularity", "max_pop"), _A("min", "popularity", "min_pop")),
+    _groupby(22, "spotify", "spotify", ["year"],
+             _A("mean", "danceability", "mean_dance"), _A("max", "danceability", "max_dance"),
+             _A("mean", "instrumentalness", "mean_instr"),
+             _A("max", "instrumentalness", "max_instr"), _A("mean", "liveness", "mean_live")),
+    _groupby(23, "spotify", "spotify", ["key"],
+             _A("mean", "danceability", "mean_dance"), _A("mean", "popularity", "mean_pop")),
+    _groupby(24, "spotify", "spotify", ["decade"],
+             _A("max", "duration_minutes", "max_dur"), _A("mean", "duration_minutes", "mean_dur")),
+    _groupby(25, "spotify", "spotify", ["mode", "key"], _A("mean", "loudness", "mean_loud"),
+             _A("mean", "liveness", "mean_live"), _A("mean", "tempo", "mean_tempo")),
+    _groupby(26, "bank", "bank", ["Marital_Status", "Income_Category"],
+             _A("mean", "Credit_Used", "mean_used"),
+             _A("mean", "Total_Transitions_Amount", "mean_amount")),
+    _groupby(27, "bank", "bank", ["Marital_Status", "Gender", "Education_Level"],
+             _A("count", None, "cnt")),
+    _groupby(28, "bank", "bank", ["Marital_Status"], _A("mean", "Credit_Used", "mean_used"),
+             _A("mean", "Total_Transitions_Amount", "mean_amount")),
+    _groupby(29, "bank", "bank", ["Gender", "Income_Category"], _A("mean", "Customer_Age", "mean_age")),
+    _groupby(30, "bank", "bank", ["Registered_Products_Count", "Attrition_Flag"],
+             _A("count", None, "cnt")),
 ]
 
 #: Lookup by paper query number.

@@ -753,6 +753,27 @@ class TestWorkloadSteps:
                 (b.interestingness, b.contribution, b.std_contribution), abs=1e-9
             )
 
+    @pytest.mark.parametrize("num", [11, 8])
+    def test_same_candidates_any_input_partitions(self, spark, spotify_bundle, num):
+        # The same rows split into 1, 2, 4 or 8 input partitions (as on
+        # machines with other core counts) get the same numeric bounds, so
+        # the same candidates. At test scale, not on the small draws: there
+        # a 1e-3 rank error is under one rank, so even per-partition
+        # approximate quantiles would agree.
+        q = BY_NUM[num]
+        bundle = spotify_bundle if q.dataset == "spotify" else make_bundle(spark, "bank")
+        runs = []
+        for parts in (1, 2, 4, 8):
+            tables = {k: v.repartition(parts) for k, v in bundle.spark_tables.items()}
+            runs.append(Fedex().candidates(q.build(DatasetBundle(q.dataset, tables, {}))))
+        first = runs[0]
+        assert any(e.method == "numeric" for e in first)
+        for other in runs[1:]:
+            assert [e.candidate_id for e in other] == [e.candidate_id for e in first]
+            assert [e.caption for e in other] == [e.caption for e in first]
+            for a, b in zip(first, other):
+                assert a.contribution == pytest.approx(b.contribution, abs=1e-9)
+
 
 class TestGroupByInterestingness:
     """A group-by's ``I_A(Q)`` comes from its diversity pass and equals

@@ -12,7 +12,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core import partition
-from repro.core.interestingness import input_profile, present
+from repro.core.interestingness import input_profile, is_numeric, present
 from repro.core.model import IGNORE_PID, PID
 from repro.core.partition import (
     PartitionStats,
@@ -23,6 +23,9 @@ from repro.core.partition import (
     partitions_for_attribute,
     value_scan,
 )
+from repro.datasets.bank import bank_pdf
+from repro.datasets.spotify import spotify_pdf
+from repro.workload.queries import SCALES
 from tests.test_explain import _actions, _spark_jobs
 
 
@@ -154,6 +157,42 @@ class TestNumericPartition:
         assert sum(_pid_counts(p).values()) == songs.count()
 
 
+class TestExactBounds:
+    """Equal-frequency bounds are numpy's inverted-CDF quantiles of the
+    present values (nulls and NaN left out), however the input is split."""
+
+    @staticmethod
+    def _want(values, n: int) -> list[float]:
+        v = np.array([x for x in values if x is not None and x == x], dtype=float)
+        return [float(np.quantile(v, i / n, method="inverted_cdf")) for i in range(1, n)]
+
+    @pytest.mark.parametrize("dataset", ["bank", "spotify"])
+    def test_every_numeric_workload_column(self, spark, dataset):
+        pdf = {"bank": bank_pdf, "spotify": spotify_pdf}[dataset](SCALES["test"][dataset])
+        df = spark.createDataFrame(pdf)
+        cols = [c for c in df.columns if is_numeric(df, c)]
+        assert len(cols) > 10
+        stats = partition_stats(df, cols, (5, 10))
+        for c in cols:
+            for n in (5, 10):
+                assert stats.quantiles[c][n] == self._want(pdf[c], n), (c, n)
+
+    @pytest.mark.parametrize("parts", [1, 3, 8])
+    def test_nulls_nan_infinities_and_ties(self, spark, parts):
+        inf, nan = float("inf"), float("nan")
+        x = [None] * 7 + [nan] * 5 + [-inf] * 3 + [inf] * 4 + [1.0] * 40 + [-0.0] * 6
+        x += [float(v) for v in range(2, 30)] + [2.5] * 11
+        i = [None] * 9 + [7] * 50 + list(range(-20, 22))
+        rows = list(zip(x, i + [3] * (len(x) - len(i))))
+        np.random.default_rng(parts).shuffle(rows)
+        df = spark.createDataFrame(rows, "x double, i long").repartition(parts)
+        n_sets = (2, 3, 5, 7, 10)
+        stats = partition_stats(df, ["x", "i"], n_sets)
+        for c, values in zip(["x", "i"], zip(*rows)):
+            for n in n_sets:
+                assert stats.quantiles[c][n] == self._want(values, n), (c, n)
+
+
 class TestManyToOne:
     def test_detects_year_decade(self, songs):
         assert "decade" in _stats(songs, "year").fd["year"]
@@ -180,7 +219,7 @@ class TestManyToOne:
 
     def test_candidates_restriction(self, songs):
         # artist varies within a year (code 2), so it is no target of year.
-        _, codes = value_scan(songs, ["year"], ["artist"], 5)
+        _, codes, _ = value_scan(songs, ["year"], ["artist"], (5,))
         assert codes["year"]["artist"] == 2
         assert "artist" not in _stats(songs, "year").fd["year"]
 
@@ -194,7 +233,7 @@ class TestManyToOne:
             }
         )
         df = spark.createDataFrame(pdf)
-        _, codes = value_scan(df, ["a"], ["b", "c", "d"], 5)
+        _, codes, _ = value_scan(df, ["a"], ["b", "c", "d"], (5,))
         assert codes["a"] == {"b": 1, "c": 1, "d": 1}  # three FD targets
         ps = many_to_one_partitions(_stats(df, "a", 5), "a", 5)
         assert len(ps) == 2
@@ -242,7 +281,7 @@ class TestFunctionalDependencyScan:
 
     def test_matches_count_distinct_scan(self, df, old_scan):
         cols = df.columns
-        _, got = value_scan(df, cols, cols, 5)
+        _, got, _ = value_scan(df, cols, cols, (5,))
         for a in cols:
             for c in cols:
                 assert got[a][c] == min(old_scan[a][c], 2), (a, c)
@@ -258,7 +297,7 @@ class TestFunctionalDependencyScan:
             )
             assert stats.fd[a] == expected[:2], a
         # The cases the fixture plants, read from the new scan:
-        _, codes = value_scan(df, ["a"], cols, 5)
+        _, codes, _ = value_scan(df, ["a"], cols, (5,))
         assert {c for c in cols if codes["a"][c] == 1} >= {"b_nonnull", "b_null", "b_nan", "b_zero"}
         assert codes["a"]["b_mixed"] == 2
 
@@ -345,7 +384,7 @@ class TestValueScan:
     @pytest.mark.parametrize("n", [2, 3, 10])
     def test_matches_value_counts(self, table, n):
         df, pdf = table
-        top, codes = value_scan(df, df.columns, [], n)
+        top, codes, _ = value_scan(df, df.columns, [], (n,))
         assert codes == {c: {} for c in df.columns}
         for c in df.columns:
             assert top[c] == self._oracle(pdf[c], n), c
@@ -420,18 +459,18 @@ class TestLiteralFidelity:
 
 class TestStatsActions:
     """``partition_stats`` on a profiled input: one ``collect`` for every
-    categorical attribute, one ``approxQuantile`` more for numeric ones."""
+    attribute; numeric ones add no action, their bounds ride on it."""
 
     def test_categorical_one_collect(self, spark, songs):
         df = songs.select("*")
         input_profile(df)
         assert _actions(spark, lambda: partition_stats(df, ["artist"], (5, 10))) == ["collect"]
 
-    def test_numeric_adds_one_quantile(self, spark, songs):
+    def test_numeric_adds_no_action(self, spark, songs):
         df = songs.select("*")
         input_profile(df)
         actions = _actions(spark, lambda: partition_stats(df, ["artist", "decade"], (5, 10)))
-        assert actions == ["approxQuantile", "collect"]
+        assert actions == ["collect"]
 
 
 def _same_stats(a, b) -> bool:
@@ -451,19 +490,13 @@ class TestStatsMemo:
     def test_new_attribute_computed_alone(self, spark, songs, monkeypatch):
         df = songs.select("*")
         partition_stats(df, ["artist", "loudness"], (5, 10))
-        scans, quantiles = [], []
+        scans = []
         scan = partition.value_scan
         monkeypatch.setattr(
             partition, "value_scan", lambda d, cols, *a: scans.append(cols) or scan(d, cols, *a)
         )
-        cls = type(df)
-        approx = cls.approxQuantile
-        monkeypatch.setattr(
-            cls, "approxQuantile", lambda d, cols, *a: quantiles.append(cols) or approx(d, cols, *a)
-        )
         stats = partition_stats(df, ["artist", "loudness", "decade"], (5, 10))
         assert [c for c in scans if c] == [["decade"]]
-        assert quantiles == [["`decade`"]]  # quoted column names
         assert _same_stats(stats, partition_stats(songs.select("*"), ["artist", "loudness", "decade"]))
 
     def test_more_sets_match_a_new_dataframe(self, songs):

@@ -68,8 +68,3 @@ class TestWeightedScore:
     def test_equal_weights_is_mean(self):
         assert weighted_score(0.4, 0.8) == pytest.approx(0.6)
 
-    def test_weights_shift_balance(self):
-        assert weighted_score(1.0, 0.0, w_i=3.0, w_c=1.0) == pytest.approx(0.75)
-
-    def test_zero_contribution_weight(self):
-        assert weighted_score(0.7, 99.0, w_i=1.0, w_c=0.0) == pytest.approx(0.7)
